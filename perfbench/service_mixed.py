@@ -4,9 +4,12 @@ Started by ``run.py`` with ``PYTHONPATH=src``.  It starts ``ppcmem2
 serve --port 0 --cache <fresh sqlite file>`` in its own process, waits
 for ``/v1/health`` (set-up time), then sends the seeded, Zipf-skewed
 query stream one request at a time, each caller blocking on its
-verdict, and prints one JSON line describing every query.  With
-``--trace 1`` the stream runs twice, against an untraced daemon and
-then against ``serve_traced.py``, each with an empty cache.
+verdict, and prints one JSON line describing every query.  An untraced
+run sends the stream ``STREAMS`` times, and before each stream starts
+and stops one extra daemon, a second set-up sample; with ``--trace 1`` the stream
+runs twice, against an untraced daemon and then against
+``serve_traced.py``.  Every stream starts a fresh daemon with an empty
+cache.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ import urllib.error
 
 import workloads
 
-#: Extra daemon starts before and again after the stream of an untraced
-#: run, sampling set-up time across the run.
-SETUP_SAMPLES = 3
+#: Untraced runs send the stream this many times, each time to a fresh
+#: daemon with an empty cache; ``run.py`` keeps each query's fastest
+#: latency, as it keeps each operation's fastest pass elsewhere.  The
+#: count is fixed, not set by ``--seconds``: a query's latency varies
+#: by about a third from stream to stream, so its fastest time depends
+#: on how many streams it had, and a count that follows the host's speed
+#: would add to a slowdown.  Five streams take ~25 s.
+STREAMS = 5
 
 
 def _peak_rss_mb(pid):
@@ -170,37 +178,34 @@ def main(argv=None):
         for index in stream
     ]
 
-    setup = []
-
-    def sample_setup(tag):
+    setup, ops, passes, peaks = [], [], [], []
+    for pass_index in range(1 if args.trace else STREAMS):
         if not args.trace:
-            for sample in range(SETUP_SAMPLES):
-                daemon = Daemon(args.out_dir, f"setup-{tag}{sample}")
-                setup.append(daemon.setup_seconds)
-                daemon.stop()
-
-    sample_setup("before")
-    daemon = Daemon(args.out_dir, "main")
-    setup.append(daemon.setup_seconds)
-    try:
-        ops, seconds = _run_stream(daemon, queries, 0)
-    finally:
-        peak = daemon.stop()
-    sample_setup("after")
-    passes = [{"seconds": seconds, "traced": False}]
-    result = {"setup_samples": setup, "peak_rss_mb": peak}
+            daemon = Daemon(args.out_dir, f"setup{pass_index}")
+            setup.append(daemon.setup_seconds)
+            daemon.stop()
+        daemon = Daemon(args.out_dir, f"main{pass_index}")
+        setup.append(daemon.setup_seconds)
+        try:
+            stream_ops, seconds = _run_stream(daemon, queries, pass_index)
+        finally:
+            peaks.append(daemon.stop())
+        ops += stream_ops
+        passes.append({"seconds": seconds, "traced": False})
+    result = {"setup_samples": setup, "peak_rss_mb": peaks[0]}
 
     if args.trace:
+        traced_pass = len(passes)
         daemon = Daemon(args.out_dir, "traced", trace_out=args.trace_out)
         try:
-            traced_ops, traced_seconds = _run_stream(daemon, queries, 1)
+            traced_ops, traced_seconds = _run_stream(daemon, queries, traced_pass)
         finally:
             result["peak_rss_mb"] = daemon.stop()
         ops += traced_ops
         passes.append({"seconds": traced_seconds, "traced": True})
         with open(args.trace_out) as handle:
             result["layers"] = json.load(handle)["layers"]
-        result["trace_pass"] = 1
+        result["trace_pass"] = traced_pass
 
     result["passes"] = passes
     result["ops"] = _check(ops, population)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import random
 
 #: Per-test state budget of ``corpus-plain`` (sequential DFS, no
-#: reduction).  Sized so one pass over the 48-test corpus fits several
-#: times into a run; 22 tests stop at the budget, 26 complete.
-CORPUS_BUDGET = 1000
+#: reduction).  Sized so one pass over the 48-test corpus fits ten times
+#: into a run; 22 tests stop at the budget, 26 complete (the largest
+#: complete space has 484 states).
+CORPUS_BUDGET = 500
 
 #: ``genwide-dpor`` explores a fixed diy suite: per-test cost ranges over
 #: four orders of magnitude between shapes (one 6-thread multi-``Wse``
@@ -19,25 +20,27 @@ CORPUS_BUDGET = 1000
 #: would make the end-to-end figures a property of the seed, not of the
 #: code.  ``diy.generate(0, 10, max_threads=6, max_run=4)`` is the suite
 #: PERFORMANCE.md's gen-wide measurements use; the seed sets the order.
+#: The budget lets the two tests that complete (126 and 545 states)
+#: finish and keeps a pass short enough to repeat ~15 times in a run.
 GENWIDE_SUITE = dict(seed=0, size=10, max_threads=6, max_run=4)
-GENWIDE_BUDGET = 1500
+GENWIDE_BUDGET = 600
 
-#: ``isa-sequential``: generated tests per instruction per pass.
-ISA_PER_INSTRUCTION = 4
+#: ``isa-sequential``: generated tests per instruction.
+ISA_PER_INSTRUCTION = 1
 
-#: Passes per seed of ``isa-sequential``; pass ``k`` of seed ``s`` draws
-#: its values from generator seed ``s * ISA_PASS_STRIDE + k``.
-ISA_PASS_STRIDE = 1000
-
-#: ``service-mixed`` stream: queries per run, Zipf exponent, seeded
+#: ``service-mixed`` stream: queries per stream, Zipf exponent, the
 #: 2-thread diy tests added to the curated corpus, and the per-query
-#: state budget.  The diy tests use ``max_run=1``, whose shape space (~96
-#: distinct cycles) is small enough that every seed draws a similar
-#: population; the budget keeps each cache miss under ~0.5 s.
-SERVICE_QUERIES = 3000
+#: state budget.  The diy tests are a fixed suite, like ``GENWIDE_SUITE``,
+#: and every test of the population is queried at least once: the
+#: misses, most of a stream's time, are then the same 100
+#: explorations for every seed, and the seed decides the popularity
+#: ranks, the order and the formatting.  The stream and the budget are
+#: small enough that a run sends the stream five times (see
+#: ``service_mixed.STREAMS``) in about 25 s.
+SERVICE_QUERIES = 500
 SERVICE_ZIPF = 1.1
-SERVICE_DIY_TESTS = 72
-SERVICE_BUDGET = 600
+SERVICE_DIY_SUITE = dict(seed=0, size=52, max_threads=2, max_run=1)
+SERVICE_BUDGET = 200
 
 
 class Item:
@@ -88,7 +91,7 @@ def oracle_expectation(item):
     return expectation_with_oracle(item.edges)[0]
 
 
-def isa_tests(model, seed, pass_index):
+def isa_tests(model, seed):
     """Seeded single-instruction differential tests, every instruction.
 
     Tests whose memory access runs past the top of the 64-bit address
@@ -125,32 +128,37 @@ def isa_tests(model, seed, pass_index):
         golden.execute(machine, test.decode(model))
         return machine.wraps
 
-    tests = generate_suite(
-        model, ISA_PER_INSTRUCTION, seed * ISA_PASS_STRIDE + pass_index
-    )
+    tests = generate_suite(model, ISA_PER_INSTRUCTION, seed)
     return [test for test in tests if not wraps(test)]
 
 
 def service_population(seed):
-    """The curated corpus plus seeded 2-thread diy tests, in seeded rank order."""
+    """The curated corpus plus the 2-thread diy suite, in seeded rank order."""
     from repro.litmus.diy import generate
     from repro.litmus.library import corpus
 
     items = [
         Item(entry.name, entry.source, entry.architected) for entry in corpus()
     ]
-    for test in generate(seed, SERVICE_DIY_TESTS, max_threads=2, max_run=1):
+    suite = SERVICE_DIY_SUITE
+    for test in generate(suite["seed"], suite["size"],
+                         max_threads=suite["max_threads"],
+                         max_run=suite["max_run"]):
         items.append(Item(test.name, test.source, None, test.edges))
     random.Random(seed).shuffle(items)
     return items
 
 
 def service_stream(population, seed, count):
-    """``count`` population indexes, Zipf-skewed over the seeded ranks."""
+    """``count`` population indexes: each once, the rest Zipf-skewed over
+    the seeded ranks, in a seeded order."""
+    rng = random.Random(seed ^ 0x5EED)
     weights = [1.0 / (rank + 1) ** SERVICE_ZIPF for rank in range(len(population))]
-    return random.Random(seed ^ 0x5EED).choices(
-        range(len(population)), weights=weights, k=count
+    stream = list(range(len(population))) + rng.choices(
+        range(len(population)), weights=weights, k=count - len(population)
     )
+    rng.shuffle(stream)
+    return stream
 
 
 def reformat(source, rng):
