@@ -454,21 +454,10 @@ def run_dpor(
         if not state.threads_finished():
             return False
         storage = state.storage
-        after = storage.coherence_after
+        # ``add_coherence`` keeps the order transitively closed, so two
+        # writes are ordered exactly when one lists the other directly.
+        ordered = storage.coherence_before
         writes = list(storage.writes_seen.values())
-
-        def reaches(source, goal) -> bool:
-            stack = [source]
-            visited = {source}
-            while stack:
-                for nxt in after.get(stack.pop(), ()):
-                    if nxt == goal:
-                        return True
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        stack.append(nxt)
-            return False
-
         for addr, size in cells:
             # Initial writes are coherence-before every overlapping write
             # by fiat (see ``_order_consistent``), not via explicit
@@ -480,8 +469,8 @@ def run_dpor(
             ]
             for i, first in enumerate(relevant):
                 for second in relevant[i + 1:]:
-                    if not (reaches(first, second)
-                            or reaches(second, first)):
+                    if not (ordered(first, second)
+                            or ordered(second, first)):
                         return False
         return True
 

@@ -28,7 +28,7 @@ load-reserve/store-conditional primitives).
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..sail.values import Bits
@@ -708,7 +708,17 @@ class StorageSubsystem:
         Writes never co-propagated may be coherence-unrelated at the end of
         an execution; each linear extension of the established coherence
         order yields one possible final memory state.  Returns a list of
-        dicts mapping (addr, size) -> int.
+        distinct dicts mapping (addr, size) -> int (``None`` when the value
+        has undef bits), in no meaningful order.
+
+        The extensions are enumerated per independent group of writes (see
+        ``_independent_groups``): writes in different groups are never
+        related by ``_order_consistent``, and a byte's coherence-last write
+        is decided within the group of the writes covering it.  So a global
+        order is consistent exactly when each group's sub-order is, and the
+        final states are the Cartesian product of the groups' distinct
+        last-writer maps.  Two locations with three writes each cost
+        2 * 3! order checks instead of 6!.
         """
         cells = list(addresses)
         relevant: List[Write] = [
@@ -716,16 +726,37 @@ class StorageSubsystem:
             for w in self.writes_seen.values()
             if any(w.overlaps(addr, size) for addr, size in cells)
         ]
+        relevant.sort(key=lambda w: w.wid)
+        cell_bytes = {addr + i for addr, size in cells for i in range(size)}
+        group_memories = []
+        for group in self._independent_groups(relevant):
+            group_bytes = sorted(
+                addr
+                for addr in cell_bytes
+                if any(w.overlaps(addr, 1) for w in group)
+            )
+            memories: Dict[tuple, Dict[int, Bits]] = {}
+            # Bounded enumeration: litmus tests have a handful of writes
+            # per cell.
+            for order in permutations(group):
+                if not self._order_consistent(order):
+                    continue
+                last: Dict[int, Write] = {}
+                for write in order:
+                    for i in range(write.size):
+                        last[write.addr + i] = write
+                writers = tuple(last[addr].wid for addr in group_bytes)
+                if writers not in memories:
+                    memories[writers] = {
+                        addr: last[addr].byte(addr) for addr in group_bytes
+                    }
+            group_memories.append(list(memories.values()))
         results = []
         seen_results = set()
-        # Bounded enumeration: litmus tests have a handful of writes per cell.
-        for order in permutations(sorted(relevant, key=lambda w: w.wid)):
-            if not self._order_consistent(order):
-                continue
+        for choice in product(*group_memories):
             memory: Dict[int, Bits] = {}
-            for write in order:
-                for i in range(write.size):
-                    memory[write.addr + i] = write.byte(write.addr + i)
+            for group_memory in choice:
+                memory.update(group_memory)
             state = {}
             for addr, size in cells:
                 value = Bits(0)
@@ -737,6 +768,45 @@ class StorageSubsystem:
                 seen_results.add(frozen)
                 results.append(state)
         return results
+
+    def _independent_groups(self, writes: List[Write]) -> List[List[Write]]:
+        """Split ``writes`` into groups that ``_order_consistent`` never relates.
+
+        Two writes share a group when their bytes overlap, when
+        ``coherence_after`` orders them, or when they form an
+        ``atomic_pairs`` entry -- the only relations the filter checks.
+        Groups are the connected components of those links and keep the
+        order of ``writes``.
+        """
+        members = {w.wid for w in writes}
+        links: Dict[WriteId, Set[WriteId]] = {wid: set() for wid in members}
+
+        def link(first: WriteId, second: WriteId) -> None:
+            if first in members and second in members:
+                links[first].add(second)
+                links[second].add(first)
+
+        for wid in members:
+            for other in self._overlaps[wid]:
+                link(wid, other)
+            for other in self.coherence_after.get(wid, ()):
+                link(wid, other)
+        for read_wid, cond_wid in self.atomic_pairs:
+            link(read_wid, cond_wid)
+        group_of: Dict[WriteId, int] = {}
+        groups: List[List[Write]] = []
+        for write in writes:
+            if write.wid not in group_of:
+                group_of[write.wid] = len(groups)
+                stack = [write.wid]
+                while stack:
+                    for other in links[stack.pop()]:
+                        if other not in group_of:
+                            group_of[other] = len(groups)
+                            stack.append(other)
+                groups.append([])
+            groups[group_of[write.wid]].append(write)
+        return groups
 
     def _order_consistent(self, order: Tuple[Write, ...]) -> bool:
         position = {w.wid: i for i, w in enumerate(order)}

@@ -64,6 +64,13 @@ class RegisterFile:
         return dict(self.values)
 
 
+#: Byte addresses wrap at the top of the 64-bit effective address space.
+_ADDRESS_MASK = (1 << 64) - 1
+
+#: The 256 concrete byte values, shared (``Bits`` is immutable).
+_BYTE_VALUES = tuple(Bits.from_int(byte, 8) for byte in range(256))
+
+
 class Memory:
     """Flat byte-addressed memory of lifted bytes (default zero)."""
 
@@ -73,7 +80,9 @@ class Memory:
     def read(self, addr: int, size: int) -> Bits:
         value = Bits(0)
         for i in range(size):
-            value = value.concat(self._bytes.get(addr + i, Bits.zeros(8)))
+            value = value.concat(
+                self._bytes.get((addr + i) & _ADDRESS_MASK, _BYTE_VALUES[0])
+            )
         return value
 
     def write(self, addr: int, size: int, value: Bits) -> None:
@@ -82,11 +91,13 @@ class Memory:
                 f"write width {value.width} != 8*{size}"
             )
         for i in range(size):
-            self._bytes[addr + i] = value.slice(8 * i, 8 * i + 7)
+            self._bytes[(addr + i) & _ADDRESS_MASK] = value.slice(
+                8 * i, 8 * i + 7
+            )
 
     def load_bytes(self, addr: int, data: bytes) -> None:
         for i, byte in enumerate(data):
-            self._bytes[addr + i] = Bits.from_int(byte, 8)
+            self._bytes[(addr + i) & _ADDRESS_MASK] = _BYTE_VALUES[byte]
 
     def snapshot(self) -> Dict[int, Bits]:
         return dict(self._bytes)

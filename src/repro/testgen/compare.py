@@ -68,6 +68,9 @@ def _setup_golden_machine(setup: MachineSetup) -> GoldenMachine:
     return machine
 
 
+_ZERO_BYTE = Bits.zeros(8)
+
+
 def _check(
     result: ComparisonResult, location: str, model_value: Bits, golden_value: int
 ) -> None:
@@ -101,15 +104,16 @@ def run_differential(model: IsaModel, test: SequentialTest) -> ComparisonResult:
     _check(result, "LR", model_machine.reg("LR"), golden_machine.lr)
     _check(result, "CTR", model_machine.reg("CTR"), golden_machine.ctr)
 
-    touched = set(model_machine.memory.snapshot()) | set(golden_machine.memory)
-    for addr in sorted(touched):
-        model_byte = model_machine.memory.read(addr, 1)
-        _check(
-            result,
-            f"mem[0x{addr:x}]",
-            model_byte,
-            golden_machine.memory.get(addr, 0),
-        )
+    model_memory = model_machine.memory.snapshot()
+    golden_memory = golden_machine.memory
+    for addr in sorted(model_memory.keys() | golden_memory.keys()):
+        model_byte = model_memory.get(addr, _ZERO_BYTE)
+        golden_byte = golden_memory.get(addr, 0)
+        # Most bytes are fully known and equal: compare them as integers
+        # and leave undef bits and mismatches to the lifted comparison.
+        if model_byte.ones == golden_byte and model_byte.is_known:
+            continue
+        _check(result, f"mem[0x{addr:x}]", model_byte, golden_byte)
     return result
 
 

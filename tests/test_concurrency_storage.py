@@ -1,5 +1,7 @@
 """Unit and property tests for the storage subsystem."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,7 +242,11 @@ class TestCloneAndKey:
                               st.integers(0, 255)),
                     min_size=0, max_size=5))
     def test_coherence_is_acyclic_invariant(self, writes):
-        """After any accept/propagate sequence, coherence stays acyclic."""
+        """After any accept/propagate sequence, coherence stays acyclic.
+
+        It also stays transitively closed: dpor's end-game cut tests
+        coherence order by direct ``coherence_after`` membership.
+        """
         storage = _storage()
         for index, (tid, addr, value) in enumerate(writes):
             write = _write(tid, index, addr, 4, value)
@@ -248,10 +254,12 @@ class TestCloneAndKey:
             for target in (0, 1):
                 if storage.can_propagate_write(write.wid, target):
                     storage.propagate_write(write.wid, target)
-        for wid, successors in storage.coherence_after.items():
+        after = storage.coherence_after
+        for wid, successors in after.items():
             assert wid not in successors  # irreflexive
             for succ in successors:
-                assert wid not in storage.coherence_after.get(succ, set())
+                assert wid not in after.get(succ, set())
+                assert after.get(succ, set()) <= successors  # transitive
 
 
 class TestFinalMemory:
@@ -275,3 +283,164 @@ class TestFinalMemory:
         finals = storage.final_memory_values([(0x1000, 4)])
         values = {state[(0x1000, 4)] for state in finals}
         assert values == {2}
+
+    def test_cell_spanning_two_independent_writes(self):
+        # No initial write links the halves: the cell's bytes come from
+        # two independent groups.
+        storage = StorageSubsystem((0, 1, 2))
+        low = _write(0, 0, 0x1000, 2, 0x0102)
+        high = _write(1, 0, 0x1002, 2, 0x0304)
+        other_low = _write(2, 0, 0x1000, 2, 0x0506)
+        for write in (low, high, other_low):
+            storage.accept_write(write)
+        cells = [(0x1000, 4)]
+        finals = storage.final_memory_values(cells)
+        assert {state[(0x1000, 4)] for state in finals} == {
+            0x01020304, 0x05060304,
+        }
+        assert _as_set(finals) == _as_set(
+            _all_permutations_final_memory(storage, cells)
+        )
+
+    def test_atomic_pair_with_read_from_inside_and_outside_cells(self):
+        storage = _storage()
+        read_from = _write(0, 0, 0x1010, 4, 7)
+        cond = _write(1, 0, 0x1020, 4, 1)
+        rival = _write(0, 1, 0x1020, 4, 2)
+        for write in (read_from, cond, rival):
+            storage.accept_write(write)
+        storage.record_atomic_pair(read_from.wid, cond.wid)
+        # The load-reserve read a write outside the requested cell, so no
+        # overlapping write may precede the conditional one at all.
+        cells = [(0x1020, 4)]
+        finals = storage.final_memory_values(cells)
+        assert {state[(0x1020, 4)] for state in finals} == {2}
+        assert _as_set(finals) == _as_set(
+            _all_permutations_final_memory(storage, cells)
+        )
+        # Requested, the read-from write is ordered with the pair's group:
+        # the rival may then precede it.
+        cells = [(0x1010, 4), (0x1020, 4)]
+        finals = storage.final_memory_values(cells)
+        assert {state[(0x1020, 4)] for state in finals} == {1, 2}
+        assert _as_set(finals) == _as_set(
+            _all_permutations_final_memory(storage, cells)
+        )
+
+    def test_coherence_through_unrequested_writes_links_cells(self):
+        # Bridging writes outside the cells order a1 < c1 and c2 < a2 by
+        # transitivity, so the two cells' last writers are not independent:
+        # a1 last at 0x1000 with c2 last at 0x1003 would need a cycle.
+        storage = StorageSubsystem(range(6))
+        a1 = _write(0, 0, 0x1000, 2, 0xA1A1)
+        a2 = _write(1, 0, 0x1000, 2, 0xA2A2)
+        c1 = _write(2, 0, 0x1002, 2, 0xC1C1)
+        c2 = _write(3, 0, 0x1002, 2, 0xC2C2)
+        b1 = _write(4, 0, 0x1001, 2, 0xB1B1)
+        b2 = _write(5, 0, 0x1001, 2, 0xB2B2)
+        for write in (a1, a2, c1, c2, b1, b2):
+            storage.accept_write(write)
+        for first, second in ((a1, b1), (b1, c1), (c2, b2), (b2, a2)):
+            storage.add_coherence(first.wid, second.wid)
+        cells = [(0x1000, 1), (0x1003, 1)]
+        finals = storage.final_memory_values(cells)
+        assert {
+            (state[(0x1000, 1)], state[(0x1003, 1)]) for state in finals
+        } == {(0xA2, 0xC1), (0xA2, 0xC2), (0xA1, 0xC1)}
+        assert _as_set(finals) == _as_set(
+            _all_permutations_final_memory(storage, cells)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_all_permutations_reference(self, data):
+        """Grouped enumeration yields exactly the all-orders final states."""
+        storage, cells = data.draw(_final_memory_scenarios())
+        after = storage.coherence_after
+        for successors in after.values():
+            for succ in successors:
+                assert after.get(succ, set()) <= successors  # closed
+        finals = storage.final_memory_values(cells)
+        assert len(_as_set(finals)) == len(finals)  # no duplicates
+        assert _as_set(finals) == _as_set(
+            _all_permutations_final_memory(storage, cells)
+        )
+
+
+def _as_set(finals):
+    return {tuple(sorted(state.items())) for state in finals}
+
+
+def _all_permutations_final_memory(storage, addresses):
+    """Reference: check every order of every relevant write at once."""
+    cells = list(addresses)
+    relevant = [
+        w
+        for w in storage.writes_seen.values()
+        if any(w.overlaps(addr, size) for addr, size in cells)
+    ]
+    results = []
+    seen_results = set()
+    for order in permutations(sorted(relevant, key=lambda w: w.wid)):
+        if not storage._order_consistent(order):
+            continue
+        memory = {}
+        for write in order:
+            for i in range(write.size):
+                memory[write.addr + i] = write.byte(write.addr + i)
+        state = {}
+        for addr, size in cells:
+            value = Bits(0)
+            for i in range(size):
+                value = value.concat(memory.get(addr + i, Bits.zeros(8)))
+            state[(addr, size)] = value.to_int() if value.is_known else None
+        frozen = tuple(sorted(state.items()))
+        if frozen not in seen_results:
+            seen_results.add(frozen)
+            results.append(state)
+    return results
+
+
+_SIZES = st.sampled_from([1, 2, 4, 8])
+
+
+@st.composite
+def _final_memory_scenarios(draw):
+    """A storage state over a 32-byte window, plus the cells to evaluate.
+
+    Mixed sizes at byte offsets give partial overlaps; coherence edges
+    between any two writes go in whenever ``can_add_coherence`` allows;
+    an optional atomic pair may read from a write outside every cell.
+    """
+    threads = tuple(range(draw(st.integers(2, 3))))
+    storage = StorageSubsystem(threads)
+    storage.accept_initial_writes([
+        initial_write(index, 0x1000 + 4 * index, 4, Bits.zeros(32))
+        for index in draw(st.sets(st.integers(0, 5), max_size=2))
+    ])
+    writes = list(storage.writes_seen.values())
+    specs = draw(st.lists(
+        st.tuples(st.sampled_from(threads), st.integers(0, 23), _SIZES),
+        min_size=2, max_size=6,
+    ))
+    for index, (tid, offset, size) in enumerate(specs):
+        write = _write(tid, index, 0x1000 + offset, size,
+                       draw(st.integers(0, (1 << (8 * size)) - 1)))
+        storage.accept_write(write)
+        writes.append(write)
+    indexes = st.integers(0, len(writes) - 1)
+    pair = draw(st.none() | st.tuples(indexes, indexes).filter(
+        lambda p: p[0] != p[1]
+    ))
+    if pair is not None:
+        storage.record_atomic_pair(writes[pair[0]].wid, writes[pair[1]].wid)
+    for first, second in draw(st.lists(st.tuples(indexes, indexes),
+                                       max_size=4)):
+        first, second = writes[first].wid, writes[second].wid
+        if first != second and storage.can_add_coherence(first, second):
+            storage.add_coherence(first, second)
+    cells = draw(st.lists(
+        st.tuples(st.integers(0x1000, 0x1017), _SIZES),
+        min_size=1, max_size=3, unique=True,
+    ))
+    return storage, cells

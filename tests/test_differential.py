@@ -8,9 +8,16 @@ in benchmarks/test_e2_sequential_validation.py.
 
 import pytest
 
+from repro.golden import emulator as golden
 from repro.isa.model import default_model
-from repro.testgen.compare import run_differential
-from repro.testgen.sequential import generate_tests
+from repro.testgen.compare import Mismatch, run_differential
+from repro.testgen.sequential import (
+    DATA_BASE,
+    TEST_CIA,
+    MachineSetup,
+    SequentialTest,
+    generate_tests,
+)
 
 MODEL = default_model()
 SPEC_NAMES = sorted(s.name for s in MODEL.table.all_specs())
@@ -55,3 +62,44 @@ def test_invalid_forms_are_avoided():
     for test in generate_tests(MODEL, spec, count=20, seed=3):
         decoded = MODEL.decode(test.word)
         assert not decoded.is_invalid_form
+
+
+def test_access_past_top_of_address_space_wraps():
+    # stdx with RA = RB = 2^64 - 3 stores 8 bytes from 2^64 - 6, so its
+    # last two bytes land at 0x0 and 0x1, as on the golden emulator.
+    spec = MODEL.table.by_name("Stdx")
+    (test,) = [
+        t for t in generate_tests(MODEL, spec, count=4, seed=1003)
+        if t.word == 0x7DE6312A
+    ]
+    fields = dict(MODEL.decode(test.word).fields)
+    assert test.setup.gprs[fields["RA"]] == (1 << 64) - 3
+    assert test.setup.gprs[fields["RB"]] == (1 << 64) - 3
+    result = run_differential(MODEL, test)
+    assert result.passed, [str(m) for m in result.mismatches]
+
+
+def test_mismatches_are_reported_per_location(monkeypatch):
+    """Corrupt the golden side after execution and pin what is reported."""
+    setup = MachineSetup(
+        gprs=tuple(range(32)), cr=0, so=0, ov=0, ca=0, lr=0, ctr=0,
+        cia=TEST_CIA,
+        memory={DATA_BASE + i: i for i in range(4)},
+    )
+    nop = SequentialTest("Ori", 0x60000000, setup, seed=0)
+    execute = golden.execute
+
+    def corrupting_execute(machine, instruction):
+        nia = execute(machine, instruction)
+        machine.gpr[5] ^= 0x10
+        machine.memory[DATA_BASE + 2] ^= 0xFF
+        machine.memory[0x2000] = 0x7  # a byte only the golden side wrote
+        return nia
+
+    assert run_differential(MODEL, nop).passed
+    monkeypatch.setattr(golden, "execute", corrupting_execute)
+    assert run_differential(MODEL, nop).mismatches == [
+        Mismatch("GPR5", "0x0000000000000005", "0x15"),
+        Mismatch("mem[0x2000]", "0x00", "0x7"),
+        Mismatch(f"mem[0x{DATA_BASE + 2:x}]", "0x02", "0xfd"),
+    ]

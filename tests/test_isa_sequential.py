@@ -157,6 +157,15 @@ class TestMemory:
         assert machine.memory.read(0x20000, 1).to_int() == 0x01
         assert machine.memory.read(0x20001, 1).to_int() == 0x02
 
+    def test_access_wraps_at_top_of_address_space(self):
+        machine = run_program(
+            ["li r1,-2", "lis r2,0x0102", "ori r2,r2,0x0304",
+             "stw r2,0(r1)", "lwz r3,0(r1)"]
+        )
+        assert machine.gpr(3).to_int() == 0x01020304
+        assert machine.memory.read(0, 2).to_int() == 0x0304
+        assert max(machine.memory.snapshot()) < 1 << 64
+
 
 class TestBranches:
     def test_forward_branch_skips(self):
