@@ -721,8 +721,12 @@ def run_dpor(
         ))
         stats.max_frontier = max(stats.max_frontier, len(frames))
 
-    def arrive(state, child_payload, sleep, context):
-        """Handle one reached state; returns a visitor result or None."""
+    def arrive(state, child_payload, sleep, context, transitions=None):
+        """Handle one reached state; returns a visitor result or None.
+
+        ``transitions``, when given, is the state's pruned enabled list
+        (already computed by the caller's disabled-sibling repair).
+        """
         ckey, elem = canon.canonical(state)
         entry = seen.get(ckey)
         if entry is not None:
@@ -740,7 +744,10 @@ def run_dpor(
                 return None
             if state.is_final():
                 return None
-            transitions = prune_props(state, state.enumerate_transitions())
+            if transitions is None:
+                transitions = prune_props(
+                    state, state.enumerate_transitions()
+                )
             if not transitions:
                 return None
             need = [
@@ -761,7 +768,8 @@ def run_dpor(
         if state.is_final():
             stats.final_states += 1
             return visitor.on_final(state, child_payload)
-        transitions = prune_props(state, state.enumerate_transitions())
+        if transitions is None:
+            transitions = prune_props(state, state.enumerate_transitions())
         if not transitions:
             if state.threads_finished():
                 stats.deadlocks += 1
@@ -845,6 +853,7 @@ def run_dpor(
         race_scan(transition, t_abs)
         frame.explored.append(transition)
         frame.explored_set.add(transition)
+        succ_enabled = None
         if not frame.saturated:
             # Disabled-sibling races: an awake sibling this step disables
             # (a store-conditional branch killed by resolving the other
@@ -872,6 +881,7 @@ def run_dpor(
             extend(frame.payload, transition, index) if extend else None,
             child_sleep,
             reducer.advance_context(frame.context, transition),
+            succ_enabled,
         )
         if found is not None:
             return found

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import permutations
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..sail.compile import CompiledState
@@ -70,6 +71,9 @@ _MEMO_LIMIT = 1 << 16
 
 #: Wildcard cell index: a footprint reaching outside every known cell.
 OUT_OF_CELLS = -1
+
+#: A propagation-list event's write or barrier id.
+_payload = itemgetter(1)
 
 
 class _Opaque(Exception):
@@ -408,7 +412,8 @@ class CanonicalKeys:
         #: under sigma by construction: sigma permutes cell indexes).
         self.cells = list(geometry.cells)
         self._write_cells: Dict[WriteId, FrozenSet[int]] = {}
-        self._events_memo: Dict[tuple, tuple] = {}
+        #: Per-list normal-form parts (see ``_events_component``).
+        self._list_memo: Dict[tuple, object] = {}
         self._thread_memo: Dict[tuple, tuple] = {}
         self._instance_memo: Dict[tuple, tuple] = {}
         self._storage_memo: Dict[tuple, tuple] = {}
@@ -516,88 +521,127 @@ class CanonicalKeys:
         identically; every predicate above evaluates identically on
         key-equal states, and death's monotonicity keeps the merged
         states equivalent under every future transition.
+
+        Each list's part is memoised on exactly what it reads: the
+        thread, the list (its interned chain key), the per-event fully
+        propagated and past-coherence-point flags when the list holds a
+        barrier (only barrier pairs read them), and the group element.
+        A step usually moves one list, so the other parts are reused.
         """
-        memo_key = (
-            storage._events_tuple,
-            storage._cp_key,
-            -1 if raw else elem.index,
-        )
-        cached = self._events_memo.get(memo_key)
-        if cached is not None:
-            return cached
         threads = storage.threads
-        events_pos = storage._events_pos
+        events_lists = storage.events_propagated_to
+        chain_keys = storage._events_keys
+        barrier_prefix = storage._barrier_prefix
         cps = storage.coherence_points
-        overlaps = storage._overlaps
+        index = -1 if raw else elem.index
+        memo = self._list_memo
+        fully = None
         parts = []
         for tid in threads:
-            events = storage.events_propagated_to[tid]
-            n = len(events)
-            # Fully propagated = present in every thread's list; initial
-            # writes are born that way.
-            fully = [
-                all(event in events_pos[t] for t in threads)
-                for event in events
-            ]
-            live = []
-            for j in range(n):
-                tag_j, pay_j = events[j]
-                if tag_j not in ("w", "b"):  # pragma: no cover
-                    raise _Opaque()
-                for i in range(j):
-                    tag_i, pay_i = events[i]
-                    if tag_i == "w":
-                        if tag_j == "w":
-                            # Same-byte recency + coherence derivation.
-                            alive = pay_j in overlaps[pay_i]
-                        else:
-                            # w in b's Group A, or w a cp-blocker via b.
-                            alive = pay_i not in cps or (
-                                pay_j.tid == tid
-                                and not fully[i]
-                                and not fully[j]
-                            )
-                    elif tag_j == "w":
-                        # b gates w's propagation (origin Group A), or
-                        # delimits w's cp-blocker prefix.
-                        alive = pay_j not in cps or (
-                            pay_j.tid == tid
-                            and not fully[i]
-                            and not fully[j]
-                        )
-                    else:
-                        # b1 in b2's origin Group A.
-                        alive = (
-                            pay_j.tid == tid
-                            and not fully[i]
-                            and not fully[j]
-                        )
-                    if alive:
-                        live.append((i, j))
-            if raw:
-                encoded = events
+            events = events_lists[tid]
+            if barrier_prefix[tid]:
+                if fully is None:
+                    # Fully propagated = present in every thread's list
+                    # (initial writes are born that way).
+                    events_pos = storage._events_pos
+                    fully = set(events_pos[threads[0]])
+                    for other in threads[1:]:
+                        fully.intersection_update(events_pos[other])
+                flags = (
+                    tuple(map(fully.__contains__, events)),
+                    tuple(map(cps.__contains__, map(_payload, events))),
+                )
             else:
-                encoded = [
-                    ("w", elem.ewid(e[1])) if e[0] == "w"
-                    else ("b", elem.ebid(e[1]))
-                    for e in events
-                ]
-            order = sorted(range(n), key=lambda k: encoded[k])
-            rank = [0] * n
-            for position, k in enumerate(order):
-                rank[k] = position
-            parts.append((
-                tid if raw else elem.map_tid(tid),
-                (
-                    tuple(encoded[k] for k in order),
-                    tuple(sorted((rank[i], rank[j]) for i, j in live)),
-                ),
-            ))
-        value = tuple(parts) if raw else tuple(sorted(parts))
-        if len(self._events_memo) >= _MEMO_LIMIT:
-            self._events_memo.clear()
-        self._events_memo[memo_key] = value
-        return value
+                # Without a barrier only write-write pairs exist, and
+                # their liveness reads neither flag.
+                flags = None
+            # ``chain_keys[tid]`` names the list (unlike ``_events_tuple``
+            # it is valid without ``storage.key()``).  Write overlap is
+            # read but not keyed: this relies on a write id naming one
+            # footprint for the whole search (``TestWriteFootprintInvariant``
+            # in ``tests/test_search_strategies.py``).
+            memo_key = (tid, chain_keys[tid], flags, index)
+            part = memo.get(memo_key)
+            if part is None:
+                part = self._list_part(storage, tid, events, flags, elem, raw)
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[memo_key] = part
+            parts.append(part)
+        return tuple(parts) if raw else tuple(sorted(parts))
+
+    def _list_part(self, storage, tid: int, events, flags,
+                   elem: SymElem, raw: bool):
+        """One propagation list's ``(tid, (sorted events, live pairs))``.
+
+        ``flags`` is ``None`` for a barrier-free list, else the
+        per-event (fully propagated, past coherence point) flags.  Raw
+        parts are ``CachedKey``s -- the state key then hashes in
+        O(threads) and memoised parts compare by identity; renamed parts
+        stay plain tuples, which ``orbit_representative`` orders.
+        """
+        overlaps = storage._overlaps
+        n = len(events)
+        if flags is not None:
+            fully, past_cp = flags
+        live = []
+        for j in range(n):
+            tag_j, pay_j = events[j]
+            if tag_j not in ("w", "b"):  # pragma: no cover
+                raise _Opaque()
+            for i in range(j):
+                tag_i, pay_i = events[i]
+                if tag_i == "w":
+                    if tag_j == "w":
+                        # Same-byte recency + coherence derivation.
+                        alive = pay_j in overlaps[pay_i]
+                    else:
+                        # w in b's Group A, or w a cp-blocker via b.
+                        alive = not past_cp[i] or (
+                            pay_j.tid == tid
+                            and not fully[i]
+                            and not fully[j]
+                        )
+                elif tag_j == "w":
+                    # b gates w's propagation (origin Group A), or
+                    # delimits w's cp-blocker prefix.
+                    alive = not past_cp[j] or (
+                        pay_j.tid == tid
+                        and not fully[i]
+                        and not fully[j]
+                    )
+                else:
+                    # b1 in b2's origin Group A.
+                    alive = (
+                        pay_j.tid == tid
+                        and not fully[i]
+                        and not fully[j]
+                    )
+                if alive:
+                    live.append((i, j))
+        if raw:
+            encoded = events
+            # Same order as the events themselves ("b" < "w", then id
+            # order), without the Python-level id comparisons.
+            sort_keys = [(tag, pay._sort_key) for tag, pay in events]
+        else:
+            encoded = sort_keys = [
+                ("w", elem.ewid(e[1])) if e[0] == "w"
+                else ("b", elem.ebid(e[1]))
+                for e in events
+            ]
+        order = sorted(range(n), key=sort_keys.__getitem__)
+        rank = [0] * n
+        for position, k in enumerate(order):
+            rank[k] = position
+        part = (
+            tid if raw else elem.map_tid(tid),
+            (
+                tuple(encoded[k] for k in order),
+                tuple(sorted((rank[i], rank[j]) for i, j in live)),
+            ),
+        )
+        return CachedKey(part) if raw else part
 
     # -- the symmetric deep walk -------------------------------------------
 

@@ -40,6 +40,9 @@ from .engine import EngineRequest, EnvelopeEngine
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8765
 
+#: Largest request body the daemon reads; longer ones get 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass
 class Job:
@@ -265,6 +268,14 @@ class _Server(ThreadingHTTPServer):
     daemon_ref: Optional[ServiceDaemon] = None
 
 
+class _BadLength(Exception):
+    """A ``Content-Length`` the handler refuses to read (HTTP ``status``)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -276,16 +287,34 @@ class _Handler(BaseHTTPRequestHandler):
     def daemon(self) -> ServiceDaemon:
         return self.server.daemon_ref  # type: ignore[attr-defined]
 
-    def _send(self, code: int, payload: Dict[str, Any]) -> None:
+    def _send(
+        self, code: int, payload: Dict[str, Any], close: bool = False
+    ) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also makes the handler close the connection afterwards.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON request body, read only after its length is checked.
+
+        ``rfile.read`` trusts its argument: a negative length reads to
+        EOF, which on a kept-alive connection never comes, and a huge
+        one waits for bytes that may never be sent.
+        """
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            raise _BadLength(400, f"bad Content-Length {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BadLength(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         return json.loads(raw.decode("utf-8"))
 
@@ -329,6 +358,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
             body = self._read_body()
+        except _BadLength as exc:
+            # Close: the unread body would be parsed as the next request.
+            self._send(exc.status, {"error": str(exc)}, close=True)
+            return
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": f"bad JSON body: {exc}"})
             return

@@ -602,6 +602,254 @@ class TestSymmetryCanonicalisation:
         assert bounded.symmetry and bounded.reduction == "dpor"
 
 
+#: A thread-symmetric SB+syncs (each thread's code and registers map
+#: onto the other's under x <-> y), so ``symmetry=True`` detects a
+#: nontrivial group and keys states through the renamed encoding.  None
+#: of the curated tests is symmetric.
+SYMMETRIC_SB_SYNCS = """POWER SB+syncs-symmetric
+{
+0:r1=x; 0:r2=y; 0:r3=1;
+1:r1=y; 1:r2=x; 1:r3=1;
+x=0; y=0;
+}
+ P0           | P1           ;
+ stw r3,0(r1) | stw r3,0(r1) ;
+ sync         | sync         ;
+ lwz r4,0(r2) | lwz r4,0(r2) ;
+exists (0:r4=0 /\\ 1:r4=0)
+"""
+
+
+def _reference_events_component(storage, elem, raw):
+    """``CanonicalKeys._events_component`` as it was before its per-list
+    memo: the body verbatim, minus its whole-storage memo."""
+    from repro.concurrency.symmetry import _Opaque
+
+    threads = storage.threads
+    events_pos = storage._events_pos
+    cps = storage.coherence_points
+    overlaps = storage._overlaps
+    parts = []
+    for tid in threads:
+        events = storage.events_propagated_to[tid]
+        n = len(events)
+        # Fully propagated = present in every thread's list; initial
+        # writes are born that way.
+        fully = [
+            all(event in events_pos[t] for t in threads)
+            for event in events
+        ]
+        live = []
+        for j in range(n):
+            tag_j, pay_j = events[j]
+            if tag_j not in ("w", "b"):  # pragma: no cover
+                raise _Opaque()
+            for i in range(j):
+                tag_i, pay_i = events[i]
+                if tag_i == "w":
+                    if tag_j == "w":
+                        # Same-byte recency + coherence derivation.
+                        alive = pay_j in overlaps[pay_i]
+                    else:
+                        # w in b's Group A, or w a cp-blocker via b.
+                        alive = pay_i not in cps or (
+                            pay_j.tid == tid
+                            and not fully[i]
+                            and not fully[j]
+                        )
+                elif tag_j == "w":
+                    # b gates w's propagation (origin Group A), or
+                    # delimits w's cp-blocker prefix.
+                    alive = pay_j not in cps or (
+                        pay_j.tid == tid
+                        and not fully[i]
+                        and not fully[j]
+                    )
+                else:
+                    # b1 in b2's origin Group A.
+                    alive = (
+                        pay_j.tid == tid
+                        and not fully[i]
+                        and not fully[j]
+                    )
+                if alive:
+                    live.append((i, j))
+        if raw:
+            encoded = events
+        else:
+            encoded = [
+                ("w", elem.ewid(e[1])) if e[0] == "w"
+                else ("b", elem.ebid(e[1]))
+                for e in events
+            ]
+        order = sorted(range(n), key=lambda k: encoded[k])
+        rank = [0] * n
+        for position, k in enumerate(order):
+            rank[k] = position
+        parts.append((
+            tid if raw else elem.map_tid(tid),
+            (
+                tuple(encoded[k] for k in order),
+                tuple(sorted((rank[i], rank[j]) for i, j in live)),
+            ),
+        ))
+    return tuple(parts) if raw else tuple(sorted(parts))
+
+
+def _run_budgeted(test, model, **options):
+    """``run_litmus``; a search stopped by its budget still ran."""
+    try:
+        return run_litmus(test, model, **options)
+    except ExplorationLimit:
+        return None
+
+
+class TestNormalFormReference:
+    """The memoised normal-form encoding equals the reference on every
+    call of a dpor search, raw (trivial group) and renamed alike."""
+
+    NAMES = ("MP", "SB", "SB+syncs", "R", "ATOM-base", "LB", "2+2W", "WRC")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.concurrency.symmetry import CanonicalKeys
+
+        counts = {"raw": 0, "renamed": 0}
+        memoised = CanonicalKeys._events_component
+
+        def checked(canon, storage, elem, raw):
+            value = memoised(canon, storage, elem, raw)
+            got = tuple(part.value for part in value) if raw else value
+            assert got == _reference_events_component(storage, elem, raw)
+            counts["raw" if raw else "renamed"] += 1
+            return value
+
+        monkeypatch.setattr(CanonicalKeys, "_events_component", checked)
+        return counts
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_curated(self, model, calls, symmetry):
+        for name in self.NAMES:
+            _run_budgeted(
+                by_name(name).parse(), model, max_states=3000,
+                reduction="dpor", symmetry=symmetry,
+            )
+        assert calls["raw"] > 0
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_generated_3thread(self, model, calls, symmetry):
+        from repro.litmus import diy
+
+        for generated in diy.generate(0, 8, max_threads=3):
+            _run_budgeted(
+                generated.test, model, max_states=3000,
+                reduction="dpor", symmetry=symmetry,
+            )
+        assert calls["raw"] > 0
+
+    def test_renamed_path(self, model, calls):
+        from repro.litmus.parser import parse_litmus
+
+        _run_budgeted(
+            parse_litmus(SYMMETRIC_SB_SYNCS), model, max_states=3000,
+            reduction="dpor", symmetry=True,
+        )
+        assert calls["renamed"] > 0 and calls["raw"] == 0
+
+
+class TestDporBitIdentity:
+    """dpor's work counts equal the ones recorded before the normal-form
+    memo: a change to which states merge shows here, not only as a
+    timing."""
+
+    #: (states_visited, unique_states, transitions_taken, final_states).
+    EXPECTED = {
+        ("MP", False): (105, 105, 124, 5),
+        ("SB+syncs", False): (343, 323, 491, 19),
+        ("R", False): (285, 268, 398, 33),
+        ("ATOM-base", False): (4, 4, 4, 2),
+        # The curated tests have no nontrivial symmetry group, so these
+        # two run the raw encoding with ``symmetry=True`` set.
+        ("SB", True): (93, 91, 111, 4),
+        ("SB+syncs", True): (343, 323, 491, 19),
+    }
+
+    #: ``SYMMETRIC_SB_SYNCS`` with ``symmetry=True`` (renamed encoding).
+    SYMMETRIC_EXPECTED = (196, 184, 273, 10)
+
+    #: The gen-wide suite's two tests that complete within budget.
+    GEN_WIDE_EXPECTED = {
+        4: (545, 522, 748, 31),
+        5: (126, 126, 134, 3),
+    }
+
+    @staticmethod
+    def _counts(result):
+        stats = result.exploration.stats
+        return (
+            stats.states_visited, stats.unique_states,
+            stats.transitions_taken, stats.final_states,
+        )
+
+    @pytest.mark.parametrize("name,symmetry", sorted(EXPECTED))
+    def test_curated(self, model, name, symmetry):
+        result = run_litmus(
+            by_name(name).parse(), model, reduction="dpor",
+            symmetry=symmetry,
+        )
+        assert self._counts(result) == self.EXPECTED[(name, symmetry)]
+
+    def test_symmetric_renamed(self, model):
+        from repro.litmus.parser import parse_litmus
+
+        result = run_litmus(
+            parse_litmus(SYMMETRIC_SB_SYNCS), model, reduction="dpor",
+            symmetry=True,
+        )
+        assert self._counts(result) == self.SYMMETRIC_EXPECTED
+
+    @pytest.mark.parametrize("index", sorted(GEN_WIDE_EXPECTED))
+    def test_gen_wide(self, model, index):
+        from repro.litmus import diy
+
+        generated = diy.generate(0, 10, max_threads=6, max_run=4)[index]
+        result = run_litmus(
+            generated.test, model, max_states=600, reduction="dpor",
+        )
+        assert self._counts(result) == self.GEN_WIDE_EXPECTED[index]
+
+
+class TestWriteFootprintInvariant:
+    """A write id names one footprint for the whole search.
+
+    ``Reducer._write_footprints``, ``Reducer._overlap_components``,
+    ``CanonicalKeys.write_cells`` and the normal-form memos (through
+    ``storage._overlaps``) all key on write ids but read addresses and
+    sizes; they are sound only while this holds.
+    """
+
+    def test_one_footprint_per_write_id(self, model, monkeypatch):
+        from repro.concurrency.storage import StorageSubsystem
+        from repro.litmus import diy
+
+        footprints = {}
+        accept = StorageSubsystem.accept_write
+
+        def recording(storage, write):
+            seen = footprints.setdefault(write.wid, (write.addr, write.size))
+            assert seen == (write.addr, write.size), write.wid
+            return accept(storage, write)
+
+        monkeypatch.setattr(StorageSubsystem, "accept_write", recording)
+        tests = [entry.parse() for entry in corpus()] + [
+            generated.test for generated in diy.generate(3, 24)
+        ]
+        for test in tests:
+            footprints.clear()
+            _run_budgeted(test, model, max_states=1000, reduction="dpor")
+            assert footprints, test.name
+
+
 class TestContextBound:
     def test_context_bound_flags_partial(self, model):
         test = by_name("SB+syncs").parse()

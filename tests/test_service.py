@@ -286,6 +286,57 @@ class TestDaemonRoundTrip:
             service.submit(tests=())  # empty job
         assert excinfo.value.status == 400
 
+    @staticmethod
+    def _post_with_length(service, length: str, body: bytes = b""):
+        """POST ``/v1/query`` declaring ``length``; (status, headers)."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        address = urlsplit(service.base_url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=5
+        )
+        try:
+            connection.putrequest("POST", "/v1/query")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            response.read()
+            return response.status, response.headers
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "1.5"])
+    def test_malformed_content_length_is_400(self, service, length):
+        # A negative length used to read to EOF and hang the handler.
+        status, headers = self._post_with_length(service, length)
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert service.health()["ok"]
+
+    def test_oversized_body_is_413_without_reading_it(self, service):
+        from repro.service.daemon import MAX_BODY_BYTES
+
+        # Only a few bytes follow: a daemon that tried to read the
+        # declared length would block past the client's timeout.
+        for length in (MAX_BODY_BYTES + 1, 10 ** 12):
+            status, headers = self._post_with_length(
+                service, str(length), b"{}"
+            )
+            assert status == 413
+            assert headers["Connection"] == "close"
+        assert service.health()["ok"]
+
+    def test_body_at_the_cap_is_read(self, service):
+        from repro.service.daemon import MAX_BODY_BYTES
+
+        body = b"{}".ljust(MAX_BODY_BYTES)  # valid JSON, padded
+        status, _headers = self._post_with_length(
+            service, str(len(body)), body
+        )
+        assert status == 400  # read and parsed: no "source" field
+
 
 class TestPoolShutdown:
     def test_shutdown_active_pools_terminates_children(self):
