@@ -14,6 +14,18 @@ Usage::
         [--intra-jobs N] [--shard-depth D]
         [--reduction none|sleep|dpor] [--symmetry] [--context-bound N]
         [--sail-backend compiled|interp]
+    python benchmarks/run_bench.py --paired REF --workload W --seed S
+        [--pairs N] [--seconds T]
+
+``--paired REF`` is the paired protocol for a speed claim: it checks
+``REF`` out into a temporary ``git worktree`` and runs ``perfbench/run.py
+--workload W --seed S --seconds T --trace 0`` alternately there and in
+this working tree, ``N`` pairs, flipping which side goes first each pair
+(the host's speed drifts over minutes).  It prints each end-to-end
+metric's per-side median and quartiles, how many pairs the working tree
+won, and whether the gap between the medians exceeds ``REF``'s
+interquartile range.  It exits non-zero when any run is incorrect or the
+two sides' work digests differ (a speed claim needs identical work).
 
 ``--suite gen`` runs the diy-generated two-thread suite instead of the
 curated E6 family, appending a generated-suite throughput entry to the
@@ -38,7 +50,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 sys.path.insert(
@@ -225,6 +241,121 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
     return per_test, total
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _perfbench_run(root, workload, seed, seconds):
+    """One ``perfbench/run.py --trace 0`` run in ``root``.
+
+    Returns (correct, metrics, work digest); a run that fails outright
+    counts as incorrect, with whatever it reported.
+    """
+    proc = subprocess.run(
+        [
+            sys.executable, os.path.join("perfbench", "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0",
+        ],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except ValueError:  # the run died before its result line
+        result = {}
+    digest = None
+    for line in proc.stderr.splitlines():
+        if line.startswith("work digest "):
+            digest = line.split()[-1]
+    if proc.returncode != 0 or not result.get("correct"):
+        print(proc.stderr[-2000:], file=sys.stderr)
+    metrics = {
+        name: entry["value"]
+        for name, entry in result.get("metrics", {}).items()
+    }
+    correct = proc.returncode == 0 and bool(result.get("correct"))
+    return correct, metrics, digest
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def run_paired(ref, workload, seed, pairs, seconds) -> int:
+    """The paired protocol (see the module docstring); returns the exit code."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        better = {
+            metric["name"]: metric["better"]
+            for metric in json.load(handle)["end_to_end"]
+        }
+    workdir = tempfile.mkdtemp(prefix="paired-")
+    ref_root = os.path.join(workdir, "ref")
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", ref_root, ref],
+        cwd=ROOT, check=True, capture_output=True,
+    )
+    sides = {"ref": ref_root, "work": ROOT}
+    runs = {"ref": [], "work": []}
+    try:
+        for pair in range(pairs):
+            order = ("ref", "work") if pair % 2 == 0 else ("work", "ref")
+            for side in order:
+                run = _perfbench_run(sides[side], workload, seed, seconds)
+                runs[side].append(run)
+                print(
+                    f"pair {pair + 1}/{pairs} {side}: correct={run[0]} "
+                    f"digest={run[2]} "
+                    + " ".join(f"{k}={v:.4g}" for k, v in run[1].items()),
+                    file=sys.stderr, flush=True,
+                )
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", ref_root],
+            cwd=ROOT, capture_output=True,
+        )
+        shutil.rmtree(workdir, ignore_errors=True)
+    failures = []
+    if not all(run[0] for side in runs.values() for run in side):
+        failures.append("an incorrect or failed run")
+    digests = {run[2] for side in runs.values() for run in side}
+    if len(digests) != 1 or None in digests:
+        failures.append(f"work digests differ: {sorted(map(str, digests))}")
+    print(
+        f"{workload} seed {seed}: {pairs} pairs at --seconds {seconds}, "
+        f"{ref} (ref) vs working tree (work)"
+    )
+    print(
+        f"{'metric':<16}{'ref median [q1, q3]':>30}"
+        f"{'work median [q1, q3]':>30}{'wins':>8}  gap > ref IQR"
+    )
+    for name, direction in better.items():
+        ref_values = [run[1][name] for run in runs["ref"] if name in run[1]]
+        work_values = [run[1][name] for run in runs["work"] if name in run[1]]
+        if len(ref_values) != pairs or len(work_values) != pairs:
+            continue
+        sign = 1 if direction == "lower" else -1
+        wins = sum(
+            sign * (r - w) > 0 for r, w in zip(ref_values, work_values)
+        )
+        r1, rm, r3 = _quartiles(ref_values)
+        w1, wm, w3 = _quartiles(work_values)
+        gap = sign * (rm - wm)  # positive: the working tree is better
+        trend = "better" if gap > 0 else "worse" if gap < 0 else "equal"
+        change = abs(gap) / rm if rm else 0.0
+        print(
+            f"{name:<16}{f'{rm:.4g} [{r1:.4g}, {r3:.4g}]':>30}"
+            f"{f'{wm:.4g} [{w1:.4g}, {w3:.4g}]':>30}"
+            f"{f'{wins}/{pairs}':>8}  "
+            f"{'yes' if gap > r3 - r1 else 'no'} ({trend} by {change:.1%})"
+        )
+    for failure in failures:
+        print(f"paired run failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
@@ -287,7 +418,28 @@ def main(argv=None) -> int:
         help="Sail execution backend for the ISA model (default: the "
         "model's resolved default, PPCMEM2_SAIL_BACKEND env or 'compiled')",
     )
+    paired = parser.add_argument_group(
+        "paired protocol (see the module docstring)"
+    )
+    paired.add_argument(
+        "--paired", metavar="REF", default=None,
+        help="compare the working tree with git ref REF",
+    )
+    paired.add_argument(
+        "--workload",
+        choices=("corpus-plain", "genwide-dpor", "service-mixed",
+                 "isa-sequential"),
+    )
+    paired.add_argument("--seed", type=int)
+    paired.add_argument("--pairs", type=int, default=10)
+    paired.add_argument("--seconds", type=int, default=28)
     args = parser.parse_args(argv)
+    if args.paired is not None:
+        if args.workload is None or args.seed is None:
+            parser.error("--paired needs --workload and --seed")
+        return run_paired(
+            args.paired, args.workload, args.seed, args.pairs, args.seconds
+        )
 
     from repro.concurrency.search import make_strategy
 

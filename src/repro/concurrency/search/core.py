@@ -203,11 +203,11 @@ def registers_of_interest(
     return names
 
 
-def outcome_of(
+def register_outcome(
     system: SystemState,
-    memory_cells: Iterable[Tuple[int, int]],
     static_cache: Optional[Dict[int, FrozenSet[str]]] = None,
-) -> List[Outcome]:
+) -> Tuple:
+    """The register half of a final state's outcome: (tid, reg, value)s."""
     registers = []
     by_tid: Dict[int, List[str]] = {}
     for tid, name in registers_of_interest(system, static_cache):
@@ -221,7 +221,31 @@ def outcome_of(
             registers.append(
                 (tid, name, value.to_int() if value.is_known else None)
             )
-    register_part = tuple(registers)
+    return tuple(registers)
+
+
+def outcome_of(
+    system: SystemState,
+    memory_cells: Iterable[Tuple[int, int]],
+    static_cache: Optional[Dict[int, FrozenSet[str]]] = None,
+    register_memo: Optional[Dict[Tuple, Tuple]] = None,
+) -> List[Outcome]:
+    """Every outcome of a final state (one per possible final memory).
+
+    ``register_memo`` (one dict per search) memoises the register half on
+    the tuple of thread keys: it reads only the threads, plus the initial
+    registers and the program, which are fixed for a search.  Many final
+    states differ only in storage (a corpus-plain pass reaches ~2,000
+    final states but ~130 distinct thread-key tuples).
+    """
+    if register_memo is None:
+        register_part = register_outcome(system, static_cache)
+    else:
+        threads_key = system.threads_key()
+        register_part = register_memo.get(threads_key)
+        if register_part is None:
+            register_part = register_outcome(system, static_cache)
+            register_memo[threads_key] = register_part
     cells = list(memory_cells)
     if not cells:
         return [(register_part, ())]
@@ -243,11 +267,14 @@ class CollectOutcomes:
         self.cells = cells
         self.collect_deadlocks = collect_deadlocks
         self.static_cache = static_cache if static_cache is not None else {}
+        self.register_memo: Dict[Tuple, Tuple] = {}
         self.outcomes: Set[Outcome] = set()
         self.deadlock_states: List[SystemState] = []
 
     def on_final(self, state: SystemState, payload) -> None:
-        self.outcomes.update(outcome_of(state, self.cells, self.static_cache))
+        self.outcomes.update(outcome_of(
+            state, self.cells, self.static_cache, self.register_memo
+        ))
         return None
 
     def on_deadlock(self, state: SystemState) -> None:
@@ -263,9 +290,12 @@ class StopOnWitness:
         self.predicate = predicate
         self.cells = cells
         self.static_cache = static_cache if static_cache is not None else {}
+        self.register_memo: Dict[Tuple, Tuple] = {}
 
     def on_final(self, state: SystemState, payload):
-        for outcome in outcome_of(state, self.cells, self.static_cache):
+        for outcome in outcome_of(
+            state, self.cells, self.static_cache, self.register_memo
+        ):
             if self.predicate(outcome):
                 return (state, payload)
         return None

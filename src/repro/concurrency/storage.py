@@ -47,6 +47,45 @@ class CoherenceViolation(Exception):
 _EMPTY_EVENTS_KEY = CachedKey(())
 
 
+class StorageChanges:
+    """What the mutators changed since the storage-side options were listed.
+
+    ``SystemState._storage_transitions`` derives a state's options from
+    the list cached at the last enumeration by re-checking only the
+    candidates whose predicate reads one of these inputs.  A record
+    exists only while such a list is cached (``_transitions_cache``), so
+    a storage that was never enumerated pays nothing for it.
+    """
+
+    __slots__ = ("lists", "appended", "coherence", "writes", "barriers", "cps")
+
+    def __init__(self):
+        #: Threads whose propagation list grew.
+        self.lists: Set[int] = set()
+        #: Writes appended to some propagation list (accepted or propagated).
+        self.appended: Set[WriteId] = set()
+        #: Writes that may have gained a coherence edge: every write on
+        #: either side of a committed edge (``add_coherence`` closes the
+        #: relation, so each before-write meets each after-write).
+        self.coherence: Set[WriteId] = set()
+        #: Newly accepted writes.
+        self.writes: Set[WriteId] = set()
+        #: Newly accepted barriers.
+        self.barriers: Set[BarrierId] = set()
+        #: Writes that reached their coherence point.
+        self.cps: Set[WriteId] = set()
+
+    def copy(self) -> "StorageChanges":
+        other = StorageChanges.__new__(StorageChanges)
+        other.lists = set(self.lists)
+        other.appended = set(self.appended)
+        other.coherence = set(self.coherence)
+        other.writes = set(self.writes)
+        other.barriers = set(self.barriers)
+        other.cps = set(self.cps)
+        return other
+
+
 class StorageSubsystem:
     """Mutable storage-subsystem state with explicit transition methods.
 
@@ -75,6 +114,7 @@ class StorageSubsystem:
         "_sorted_wids",
         "_sorted_bids",
         "_transitions_cache",
+        "_changes",
         "_key_cache",
         "_writes_key",
         "_coh_key",
@@ -140,9 +180,11 @@ class StorageSubsystem:
         #: Sorted write/barrier ids, for deterministic enumeration loops.
         self._sorted_wids: Optional[List[WriteId]] = None
         self._sorted_bids: Optional[List[BarrierId]] = None
-        #: Memoised storage-side transition options (see SystemState): a
-        #: pure function of this object's state, dropped on any mutation.
-        self._transitions_cache: Optional[list] = None
+        #: Storage-side transition options as of the last enumeration (see
+        #: ``SystemState._storage_transitions``): current while ``_changes``
+        #: is None, otherwise the base that ``_changes`` is relative to.
+        self._transitions_cache: Optional[tuple] = None
+        self._changes: Optional[StorageChanges] = None
         #: Memoised ``key()`` and its components; mutators drop exactly the
         #: slices they touch (per-tid event keys live in ``_events_keys``).
         self._key_cache: Optional[CachedKey] = None
@@ -151,6 +193,13 @@ class StorageSubsystem:
         self._syncs_key: Optional[CachedKey] = None
         self._atomic_key: Optional[CachedKey] = None
         self._cp_key: Optional[CachedKey] = None
+
+    def _record(self) -> Optional[StorageChanges]:
+        """The change record to extend; None while no option list is cached."""
+        changes = self._changes
+        if changes is None and self._transitions_cache is not None:
+            changes = self._changes = StorageChanges()
+        return changes
 
     def _append_event(self, tid: int, event: Event) -> None:
         """Append to a propagation list, maintaining the derived indexes.
@@ -184,7 +233,11 @@ class StorageSubsystem:
         }
         self._events_tuple = None
         self._key_cache = None
-        self._transitions_cache = None
+        changes = self._record()
+        if changes is not None:
+            changes.lists.add(tid)
+            if event[0] == "w":
+                changes.appended.add(event[1])
 
     # ------------------------------------------------------------------
     # Cloning and memoisation keys
@@ -197,7 +250,8 @@ class StorageSubsystem:
         than updating them in place (see ``_append_event``); the only
         in-place writes anywhere are pure-memo fill-ins (``read_response``,
         ``writes_propagated_to``), which are consistent across sharers by
-        construction.
+        construction.  The one exception is a pending change record, which
+        mutators extend in place: the clone gets its own copy.
         """
         other = StorageSubsystem.__new__(StorageSubsystem)
         other.threads = self.threads
@@ -217,6 +271,8 @@ class StorageSubsystem:
         other._sorted_wids = self._sorted_wids
         other._sorted_bids = self._sorted_bids
         other._transitions_cache = self._transitions_cache
+        changes = self._changes
+        other._changes = None if changes is None else changes.copy()
         other._key_cache = self._key_cache
         other._writes_key = self._writes_key
         other._coh_key = self._coh_key
@@ -315,12 +371,15 @@ class StorageSubsystem:
         if self._breaks_atomic_pair(first, second):
             raise CoherenceViolation("edge violates store-conditional atomicity")
         self._key_cache = None
-        self._transitions_cache = None
         self._coh_key = None
         befores = [
             wid for wid, succ in self.coherence_after.items() if first in succ
         ] + [first]
         afters = frozenset(self.coherence_after.get(second, ())) | {second}
+        changes = self._record()
+        if changes is not None:
+            changes.coherence.update(befores)
+            changes.coherence.update(afters)
         coherence = dict(self.coherence_after)
         for before in befores:
             existing = coherence.get(before)
@@ -373,6 +432,34 @@ class StorageSubsystem:
             self._sorted_bids = cached
         return cached
 
+    # -- inputs of the storage-side options (see StorageChanges) ------------
+
+    def origin_prefix_meets(self, bid: BarrierId, wids: Set[WriteId]) -> bool:
+        """Does a write before ``bid`` in its origin thread's list lie in ``wids``?"""
+        origin = self.events_propagated_to[bid.tid]
+        position = self._events_pos[bid.tid][("b", bid)]
+        for index in range(position):
+            kind, payload = origin[index]
+            if kind == "w" and payload in wids:
+                return True
+        return False
+
+    def writes_listed_after(self, wids: Iterable[WriteId]) -> Set[WriteId]:
+        """Writes after one of ``wids`` in some propagation list holding both."""
+        result: Set[WriteId] = set()
+        for wid in wids:
+            event = ("w", wid)
+            for tid in self.threads:
+                position = self._events_pos[tid].get(event)
+                if position is None:
+                    continue
+                events = self.events_propagated_to[tid]
+                for index in range(position + 1, len(events)):
+                    kind, payload = events[index]
+                    if kind == "w":
+                        result.add(payload)
+        return result
+
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
@@ -382,9 +469,11 @@ class StorageSubsystem:
         if write.wid in self.writes_seen:
             raise ValueError(f"duplicate write {write.wid}")
         self._key_cache = None
-        self._transitions_cache = None
         self._writes_key = None
         self._sorted_wids = None
+        changes = self._record()
+        if changes is not None:
+            changes.writes.add(write.wid)
         self.writes_seen = {**self.writes_seen, write.wid: write}
         self._record_overlaps(write)
         overlapping = self._overlaps[write.wid]
@@ -410,7 +499,8 @@ class StorageSubsystem:
     def accept_initial_writes(self, writes: Iterable[Write]) -> None:
         """Install the initial memory state, propagated to every thread."""
         self._key_cache = None
-        self._transitions_cache = None
+        self._transitions_cache = None  # listed afresh from the initial state
+        self._changes = None
         self._writes_key = None
         self._cp_key = None
         self._sorted_wids = None
@@ -423,8 +513,10 @@ class StorageSubsystem:
 
     def accept_barrier(self, barrier: BarrierEvent) -> None:
         self._key_cache = None
-        self._transitions_cache = None
         self._sorted_bids = None
+        changes = self._record()
+        if changes is not None:
+            changes.barriers.add(barrier.bid)
         self.barriers_seen = {**self.barriers_seen, barrier.bid: barrier}
         self._append_event(barrier.tid, ("b", barrier.bid))
         if barrier.kind == "sync":
@@ -598,8 +690,10 @@ class StorageSubsystem:
         if not checked and not self.can_reach_coherence_point(wid):
             raise CoherenceViolation(f"{wid} cannot reach its coherence point")
         self._key_cache = None
-        self._transitions_cache = None
         self._cp_key = None
+        changes = self._record()
+        if changes is not None:
+            changes.cps.add(wid)
         for other_wid in sorted(self._overlaps[wid]):
             if other_wid in self.coherence_points:
                 self.add_coherence(other_wid, wid)
@@ -642,15 +736,15 @@ class StorageSubsystem:
         if not checked and not self.can_acknowledge_sync(bid):
             raise CoherenceViolation(f"cannot acknowledge {bid}")
         self._key_cache = None
-        self._transitions_cache = None
         self._syncs_key = None
+        self._record()  # the sync-acknowledgement options are always re-listed
         self.unacknowledged_syncs = self.unacknowledged_syncs - {bid}
         self.acknowledged_syncs = self.acknowledged_syncs | {bid}
 
     def record_atomic_pair(self, read_wid: WriteId, cond_wid: WriteId) -> None:
         """Record a load-reserve/store-conditional atomicity constraint."""
         self._key_cache = None
-        self._transitions_cache = None
+        self._record()  # with a pair recorded every option is re-checked
         self._atomic_key = None
         self.atomic_pairs = self.atomic_pairs | {(read_wid, cond_wid)}
 

@@ -206,16 +206,23 @@ class SystemState:
             self._owns_storage = True
         return self.storage
 
+    def threads_key(self) -> Tuple[CachedKey, ...]:
+        """The thread keys in tid order: the thread half of ``key()``."""
+        threads_key = self._threads_key
+        if threads_key is None:
+            threads = self.threads
+            threads_key = tuple(
+                [threads[tid].key() for tid in self._sorted_tids]
+            )
+            self._threads_key = threads_key
+        return threads_key
+
     def key(self) -> CachedKey:
         cached = self._key_cache
         if cached is None:
             threads_key = self._threads_key
             if threads_key is None:
-                threads = self.threads
-                threads_key = tuple(
-                    [threads[tid].key() for tid in self._sorted_tids]
-                )
-                self._threads_key = threads_key
+                threads_key = self.threads_key()
             # Not interned: system keys are unique per state, so interning
             # them would only churn the bounded intern table and evict the
             # genuinely shared thread/instance keys on large searches.
@@ -858,7 +865,8 @@ class SystemState:
         state they are a pure function of).  COW sharing makes both caches
         effective: a transition that only touches one thread reuses every
         other thread's options and -- if it left storage alone -- the whole
-        storage half.
+        storage half.  A transition that changed storage re-lists only the
+        storage-side options its changes can affect.
         """
         transitions: List[Transition] = []
         threads = self.threads
@@ -866,10 +874,11 @@ class SystemState:
             transitions.extend(self._thread_transitions(threads[tid]))
         storage = self.storage
         cached = storage._transitions_cache
-        if cached is None:
+        if cached is None or storage._changes is not None:
             cached = self._storage_transitions()
             storage._transitions_cache = cached
-        transitions.extend(cached)
+            storage._changes = None
+        transitions.extend(cached[0])
         return transitions
 
     def _thread_transitions(self, thread: ThreadState) -> List[Transition]:
@@ -934,73 +943,215 @@ class SystemState:
         thread._trans_cache = (storage, syncs_ctx, writes_ctx, options)
         return options
 
-    def _storage_transitions(self) -> List[Transition]:
-        """The storage subsystem's enabled transitions (pure in storage)."""
+    def _storage_transitions(self) -> Tuple[List[Transition], int, int, int]:
+        """The storage subsystem's enabled transitions (pure in storage).
+
+        Returns the list plus where its barrier-propagation, sync-ack and
+        coherence-point sections start.  The order is fixed: write
+        propagations by (write, target thread), barrier propagations by
+        (barrier, target thread), sync acknowledgements by barrier, then
+        coherence-point commitments by write.
+
+        The list is derived from the one cached at the last enumeration
+        (``storage._transitions_cache``) and the change record the
+        mutators kept since (``storage._changes``, see ``StorageChanges``).
+        A candidate is re-checked only when its predicate reads a changed
+        input, and otherwise keeps its cached answer (and Transition).  The
+        predicates read coherence only through edges that touch the write
+        they check, so "may have gained an edge" is tracked per write:
+
+        * ``propagate_write(w, t)``: ``t``'s list grew, ``w`` may have
+          gained an edge, or ``w`` is new.  (A new write overlapping ``w``
+          sits only in its own thread's list, which grew.)
+        * ``propagate_barrier(b, t)``: an enabled one stays enabled until
+          ``b`` is delivered to ``t`` (every input it reads only grows:
+          propagation lists and coherence); a disabled one is re-checked
+          when ``t``'s list grew, ``b`` is new, or a write before ``b`` in
+          its origin thread's list may have gained an edge.
+        * ``ack_sync``: always re-checked.
+        * ``reach_coherence_point(w)``: ``w`` may have gained an edge,
+          reached its coherence point, was appended to a list (so also
+          when new), or a write before ``w`` in one of ``w``'s lists
+          reached its coherence point.  (An overlapping write ``c``
+          reaching its point without a new edge to ``w`` was already
+          coherence-before ``w`` through a chain of list orders, whose
+          last write still blocks ``w``.)
+
+        With no cached list, or with a store-conditional atomicity pair
+        recorded (``_breaks_atomic_pair`` reads every write), every
+        candidate is re-checked.  Thread ids are sorted
+        (``storage.threads``), which the per-row merges rely on.
+        """
         storage = self.storage
+        cached = storage._transitions_cache
+        full = cached is None or bool(storage.atomic_pairs)
+        if full:
+            old: List[Transition] = []
+            old_pb = old_ack = old_cp = 0
+            lists: Iterable[int] = storage.threads
+            changed = storage.threads
+            coherence: Set[WriteId] = set()
+            recheck_pw: Set[WriteId] = set()
+            new_barriers: Set[BarrierId] = set()
+            recheck_cp: Set[WriteId] = set()
+        else:
+            old, old_pb, old_ack, old_cp = cached
+            changes = storage._changes
+            lists = changes.lists
+            changed = [tid for tid in storage.threads if tid in lists]
+            coherence = changes.coherence
+            recheck_pw = coherence | changes.writes
+            new_barriers = changes.barriers
+            recheck_cp = coherence | changes.appended
+            if changes.cps:
+                recheck_cp |= changes.cps
+                recheck_cp |= storage.writes_listed_after(changes.cps)
         transitions: List[Transition] = []
+        append = transitions.append
         events_pos = storage._events_pos
         writes_seen = storage.writes_seen
         threads = storage.threads
-        for wid in storage.sorted_wids():
-            origin = wid.tid
-            event = ("w", wid)
-            origin_pos = events_pos.get(origin)
-            if origin_pos is None or event not in origin_pos:
-                continue  # initial write, or not committed by its thread
-            for tid in threads:
-                # Inlined cheap rejections (already propagated / own thread)
-                # before the full precondition check.
-                if tid == origin or event in events_pos[tid]:
+
+        # -- write propagation: rows of (write, target thread) ------------
+        if changed or recheck_pw:
+            ptr = 0
+            for wid in storage.sorted_wids():
+                start = ptr
+                while ptr < old_pb and old[ptr].detail[0] is wid:
+                    ptr += 1
+                origin = wid.tid
+                if origin not in events_pos:
+                    continue  # initial write
+                if full or (recheck_pw and wid in recheck_pw):
+                    tids = threads
+                elif changed:
+                    tids = changed
+                else:
+                    transitions += old[start:ptr]
                     continue
-                if storage.can_propagate_write(wid, tid):
-                    transitions.append(
-                        Transition(
-                            kind="propagate_write",
-                            tid=tid,
-                            detail=(wid,),
-                            label=(
-                                f"propagate {writes_seen[wid]}"
-                                f" to thread {tid}"
-                            ),
-                        )
-                    )
+                event = ("w", wid)
+                j = start
+                for tid in tids:
+                    # Cached entries of threads not re-checked carry over.
+                    while j < ptr and old[j].tid < tid:
+                        append(old[j])
+                        j += 1
+                    previous = None
+                    if j < ptr and old[j].tid == tid:
+                        previous = old[j]
+                        j += 1
+                    # Inlined cheap rejections (already propagated / own
+                    # thread) before the full precondition check.
+                    if tid == origin or event in events_pos[tid]:
+                        continue
+                    if storage.can_propagate_write(wid, tid):
+                        if previous is None:
+                            previous = Transition(
+                                kind="propagate_write",
+                                tid=tid,
+                                detail=(wid,),
+                                label=(
+                                    f"propagate {writes_seen[wid]}"
+                                    f" to thread {tid}"
+                                ),
+                            )
+                        append(previous)
+                while j < ptr:
+                    append(old[j])
+                    j += 1
+        else:
+            transitions += old[:old_pb]
+
+        # -- barrier propagation: rows of (barrier, target thread) --------
+        pb_start = len(transitions)
         if storage.barriers_seen:
+            barriers_seen = storage.barriers_seen
+            ptr = old_pb
             for bid in storage.sorted_bids():
+                start = ptr
+                while ptr < old_ack and old[ptr].detail[0] is bid:
+                    ptr += 1
+                if full or bid in new_barriers:
+                    row_affected = True
+                else:
+                    row_affected = bool(coherence) and (
+                        storage.origin_prefix_meets(bid, coherence)
+                    )
+                    if not (row_affected or changed):
+                        transitions += old[start:ptr]
+                        continue
+                origin = bid.tid
+                event = ("b", bid)
+                j = start
                 for tid in threads:
-                    if storage.can_propagate_barrier(bid, tid):
-                        barrier = storage.barriers_seen[bid]
-                        transitions.append(
+                    if j < ptr and old[j].tid == tid:
+                        previous = old[j]
+                        j += 1
+                        # Enabled stays enabled until delivered.
+                        if tid in lists and event in events_pos[tid]:
+                            continue
+                        append(previous)
+                    elif (
+                        (row_affected or tid in lists)
+                        and tid != origin
+                        and event not in events_pos[tid]
+                        and storage.can_propagate_barrier(bid, tid)
+                    ):
+                        append(
                             Transition(
                                 kind="propagate_barrier",
                                 tid=tid,
                                 detail=(bid,),
-                                label=f"propagate {barrier} to thread {tid}",
+                                label=(
+                                    f"propagate {barriers_seen[bid]}"
+                                    f" to thread {tid}"
+                                ),
                             )
                         )
+
+        # -- sync acknowledgement: always re-checked -----------------------
+        ack_start = len(transitions)
         if storage.unacknowledged_syncs:
             for bid in sorted(storage.unacknowledged_syncs):
                 if storage.can_acknowledge_sync(bid):
-                    transitions.append(
+                    append(
                         Transition(
                             kind="ack_sync",
                             detail=(bid,),
                             label=f"acknowledge sync {bid}",
                         )
                     )
-        coherence_points = storage.coherence_points
-        for wid in storage.sorted_wids():
-            if wid in coherence_points:
-                continue
-            if storage.can_reach_coherence_point(wid):
-                write = writes_seen[wid]
-                transitions.append(
-                    Transition(
-                        kind="reach_coherence_point",
-                        detail=(wid,),
-                        label=f"{write} reaches its coherence point",
-                    )
-                )
-        return transitions
+
+        # -- coherence points ----------------------------------------------
+        cp_start = len(transitions)
+        if full or recheck_cp:
+            coherence_points = storage.coherence_points
+            ptr = old_cp
+            n_old = len(old)
+            for wid in storage.sorted_wids():
+                previous = None
+                if ptr < n_old and old[ptr].detail[0] is wid:
+                    previous = old[ptr]
+                    ptr += 1
+                if wid in coherence_points:
+                    continue
+                if full or wid in recheck_cp:
+                    if not storage.can_reach_coherence_point(wid):
+                        continue
+                    if previous is None:
+                        previous = Transition(
+                            kind="reach_coherence_point",
+                            detail=(wid,),
+                            label=(
+                                f"{writes_seen[wid]} reaches its"
+                                " coherence point"
+                            ),
+                        )
+                if previous is not None:
+                    append(previous)
+        else:
+            transitions += old[old_cp:]
+        return transitions, pb_start, ack_start, cp_start
 
     def _sc_options(self, thread, instance) -> List[Transition]:
         """Store-conditional resolution: success and/or failure."""

@@ -86,6 +86,14 @@ class DecodedInstruction:
         return f"{self.mnemonic} {operands}".strip()
 
 
+#: Entries each of the model's memo tables holds before it is cleared.  A
+#: model lives as long as its process (the daemon keeps one), and every
+#: memoised value is recomputed on a miss; ``CompiledState`` hashes and
+#: compares by value, so a state rebuilt after a clear still hits the
+#: downstream tables.
+MEMO_LIMIT = 65536
+
+
 class IsaModel:
     """The complete ISA definition (decode + execute + analysis)."""
 
@@ -123,15 +131,18 @@ class IsaModel:
 
     def decode(self, word: int) -> Optional[DecodedInstruction]:
         """Decode a 32-bit opcode; None when unrecognised."""
-        if word in self._decode_cache:
-            return self._decode_cache[word]
+        cache = self._decode_cache
+        if word in cache:
+            return cache[word]
         spec = self.table.lookup(word)
         decoded = None
         if spec is not None:
             decoded = DecodedInstruction(
                 spec, word, tuple(sorted(spec.decode_fields(word).items()))
             )
-        self._decode_cache[word] = decoded
+        if len(cache) >= MEMO_LIMIT:
+            cache.clear()
+        cache[word] = decoded
         return decoded
 
     def decode_or_raise(self, word: int) -> DecodedInstruction:
@@ -154,7 +165,8 @@ class IsaModel:
         speak the same resumable outcome protocol through
         ``run_to_outcome`` / ``resume``.
         """
-        cached = self._initial_cache.get(instruction.word)
+        cache = self._initial_cache
+        cached = cache.get(instruction.word)
         if cached is not None:
             return cached
         clause = self._clauses[instruction.name]
@@ -165,7 +177,9 @@ class IsaModel:
             )
         else:
             state = initial_state(clause.body, fields)
-        self._initial_cache[instruction.word] = state
+        if len(cache) >= MEMO_LIMIT:
+            cache.clear()
+        cache[instruction.word] = state
         return state
 
     def run_to_outcome(self, state):
@@ -180,7 +194,7 @@ class IsaModel:
         cache = self._outcome_cache
         outcome = cache.get(state)
         if outcome is None:
-            if len(cache) >= 65536:
+            if len(cache) >= MEMO_LIMIT:
                 cache.clear()
             if type(state) is CompiledState:
                 outcome = self.compiled.run_to_outcome(state)
@@ -201,7 +215,7 @@ class IsaModel:
         key = (state, value)
         resumed = cache.get(key)
         if resumed is None:
-            if len(cache) >= 65536:
+            if len(cache) >= MEMO_LIMIT:
                 cache.clear()
             if type(state) is CompiledState:
                 resumed = self.compiled.resume(state, value)

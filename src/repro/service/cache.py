@@ -34,6 +34,12 @@ for concurrent use from daemon handler threads (one connection behind a
 lock; sqlite serialises writers anyway).  ``path=":memory:"`` gives an
 ephemeral cache for tests and benchmarks.  Hit/miss counters are
 in-memory per-process statistics, not persisted.
+
+The cache is an accelerator, never a source of failures: a row that
+cannot be read back (an sqlite error, undecodable JSON, a payload of the
+wrong shape) is a miss, so the caller re-explores and its ``put``
+overwrites the row; a failed ``put`` is skipped.  Both are counted in
+``stats()["errors"]``.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import asdict
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
 
@@ -101,36 +107,67 @@ class VerdictCache:
         self._connection.commit()
         self.hits = 0
         self.misses = 0
+        #: Rows that could not be read or written (each read one a miss).
+        self.errors = 0
 
     # ------------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(
+        self, key: str, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Any:
         """The stored verdict payload for ``key``, or ``None`` on a miss.
 
-        Entries written under a different ``SCHEMA_VERSION`` are treated
-        as misses (belt and braces: the version is also hashed into the
-        key, so they should never collide in the first place).
+        ``decode``, when given, turns the payload into the returned value;
+        a payload it rejects (``KeyError``, ``TypeError``, ``ValueError``,
+        ``AttributeError``) is a wrong-shape row.  Wrong-shape and
+        undecodable rows and sqlite errors are misses counted in
+        ``errors``.  Entries written under a different ``SCHEMA_VERSION``
+        are treated as misses (belt and braces: the version is also hashed
+        into the key, so they should never collide in the first place).
         """
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT schema, payload FROM verdicts WHERE key = ?", (key,)
-            ).fetchone()
+        try:
+            with self._lock:
+                row = self._connection.execute(
+                    "SELECT schema, payload FROM verdicts WHERE key = ?",
+                    (key,),
+                ).fetchone()
+        except sqlite3.DatabaseError:
+            return self._unreadable()
         if row is None or row[0] != SCHEMA_VERSION:
             self.misses += 1
             return None
+        try:
+            value = json.loads(row[1])
+            if decode is not None:
+                value = decode(value)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return self._unreadable()
         self.hits += 1
-        return json.loads(row[1])
+        return value
+
+    def _unreadable(self) -> None:
+        self.errors += 1
+        self.misses += 1
+        return None
 
     def put(self, key: str, name: str, payload: Dict[str, Any]) -> None:
-        """Store (or overwrite) the verdict payload for ``key``."""
+        """Store (or overwrite) the verdict payload for ``key``.
+
+        An sqlite error skips the store (counted in ``errors``): the
+        caller's verdict stands, it is just not memoised.
+        """
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO verdicts "
-                "(key, schema, name, payload, created) VALUES (?, ?, ?, ?, ?)",
-                (key, SCHEMA_VERSION, name, encoded, time.time()),
-            )
-            self._connection.commit()
+        try:
+            with self._lock:
+                self._connection.execute(
+                    "INSERT OR REPLACE INTO verdicts "
+                    "(key, schema, name, payload, created) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (key, SCHEMA_VERSION, name, encoded, time.time()),
+                )
+                self._connection.commit()
+        except sqlite3.DatabaseError:
+            self.errors += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -147,11 +184,17 @@ class VerdictCache:
         return row is not None
 
     def stats(self) -> Dict[str, Any]:
+        try:
+            entries: Optional[int] = len(self)
+        except sqlite3.DatabaseError:
+            entries = None
+            self.errors += 1
         return {
             "path": self.path,
-            "entries": len(self),
+            "entries": entries,
             "hits": self.hits,
             "misses": self.misses,
+            "errors": self.errors,
             "schema": SCHEMA_VERSION,
         }
 

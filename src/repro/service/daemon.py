@@ -27,12 +27,16 @@ from __future__ import annotations
 import json
 import queue
 import signal
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
+from ..isa.assembler import AssemblerError
+from ..litmus.parser import LitmusSyntaxError
 from .cache import SCHEMA_VERSION, VerdictCache
 from .engine import EngineRequest, EnvelopeEngine
 
@@ -42,6 +46,13 @@ DEFAULT_PORT = 8765
 
 #: Largest request body the daemon reads; longer ones get 413 unread.
 MAX_BODY_BYTES = 1 << 20
+
+#: Exceptions that mean the request itself is malformed (HTTP 400): a
+#: missing field or bad option, unparsable litmus source, an unknown
+#: mnemonic.  Anything else is the daemon's fault (HTTP 500).
+INPUT_ERRORS = (
+    KeyError, ValueError, TypeError, LitmusSyntaxError, AssemblerError,
+)
 
 
 @dataclass
@@ -374,8 +385,12 @@ class _Handler(BaseHTTPRequestHandler):
             if parts == ["v1", "query"]:
                 self._send(200, self.daemon.query(body))
                 return
-        except (KeyError, ValueError, TypeError) as exc:
+        except INPUT_ERRORS as exc:
             self._send(400, {"error": str(exc)})
+            return
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            traceback.print_exc(file=sys.stderr)
+            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
             return
         self._send(404, {"error": f"unknown path {self.path!r}"})
 

@@ -153,6 +153,10 @@ class Verdict:
         )
 
 
+def _cached_verdict(payload: Dict[str, Any]) -> Verdict:
+    return Verdict.from_payload(payload, cached=True)
+
+
 @dataclass
 class BatchResult:
     """Verdicts for a batch of requests plus scheduling/cache metadata."""
@@ -358,10 +362,7 @@ class EnvelopeEngine:
     def _lookup(self, resolved: _Resolved) -> Optional[Verdict]:
         if self.cache is None:
             return None
-        payload = self.cache.get(resolved.key)
-        if payload is None:
-            return None
-        return Verdict.from_payload(payload, cached=True)
+        return self.cache.get(resolved.key, decode=_cached_verdict)
 
     def _store(self, resolved: _Resolved, verdict: Verdict) -> None:
         if self.cache is None:

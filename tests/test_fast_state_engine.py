@@ -106,6 +106,72 @@ class TestWitnessStats:
         assert witness is None
 
 
+class TestRegisterOutcomeMemo:
+    """The per-search register memo agrees with a fresh readout."""
+
+    def test_every_corpus_final_state(self, model, monkeypatch):
+        from repro.concurrency.search import core
+        from repro.litmus.library import corpus
+
+        finals = []
+        original = core.outcome_of
+
+        def checked(system, cells, static_cache=None, register_memo=None):
+            result = original(system, cells, static_cache, register_memo)
+            assert register_memo is not None
+            assert result == original(system, cells)  # no memo, no cache
+            finals.append(system.threads_key())
+            return result
+
+        monkeypatch.setattr(core, "outcome_of", checked)
+        for entry in corpus():
+            try:
+                run_litmus(entry.parse(), model, max_states=500)
+            except Exception:  # budget exhaustion keeps the checked finals
+                pass
+        assert len(finals) > 1000
+        assert len(set(finals)) < len(finals) / 4
+
+
+class TestIsaModelMemoBounds:
+    """Every memo table of a long-lived model stays bounded."""
+
+    def test_tables_clear_at_the_limit_and_results_agree(self, monkeypatch):
+        from repro.isa import model as isa_model
+        from repro.isa.assembler import Assembler
+
+        monkeypatch.setattr(isa_model, "MEMO_LIMIT", 8)
+        bounded = isa_model.IsaModel()
+        reference = isa_model.IsaModel()
+        assembler = Assembler(reference)
+        words = [
+            assembler.assemble_instruction(f"{op} r3,r4,{i}")
+            for op in ("addi", "ori")
+            for i in range(40)
+        ]
+        first = {}
+        for word in words:
+            decoded = bounded.decode(word)
+            assert decoded == reference.decode(word)
+            first[word] = bounded.initial_state(decoded)
+            bounded.run_to_outcome(first[word])
+        # Every table was cleared many times over; rebuilt states are
+        # equal by value, so they still hit and agree.
+        for word in words:
+            state = bounded.initial_state(bounded.decode(word))
+            assert state == first[word]
+            assert bounded.run_to_outcome(state) == (
+                bounded.run_to_outcome(first[word])
+            )
+        for table in (
+            bounded._decode_cache,
+            bounded._initial_cache,
+            bounded._outcome_cache,
+            bounded._resume_cache,
+        ):
+            assert len(table) <= 8
+
+
 class TestRunOneDiagnostics:
     def test_step_budget_error_reports_steps_and_last_transition(self, model):
         system, _addresses = build_system(by_name("MP").parse(), model)

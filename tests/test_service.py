@@ -151,6 +151,68 @@ class TestVerdictCachePersistence:
         reopened.close()
 
 
+class TestCorruptCacheRows:
+    """An unreadable row is a miss that re-explores and overwrites it."""
+
+    SOURCE = by_name("MP").source
+
+    def _corrupt(self, cache, payload):
+        cache._connection.execute("UPDATE verdicts SET payload = ?", (payload,))
+        cache._connection.commit()
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["{not json", '{"status": "Allowed"}', "[1, 2]", "null"],
+        ids=["garbage", "wrong-shape", "list", "null"],
+    )
+    def test_corrupt_row_is_a_miss_and_is_rewritten(self, payload):
+        cache = VerdictCache()
+        engine = EnvelopeEngine(cache=cache)
+        request = EngineRequest(source=self.SOURCE, name="MP")
+        cold = engine.run_request(request)
+        self._corrupt(cache, payload)
+        again = engine.run_request(request)
+        assert not again.cached
+        assert _comparable(again.to_payload()) == _comparable(
+            cold.to_payload()
+        )
+        warm = engine.run_request(request)  # the row was overwritten
+        assert warm.cached and warm.to_payload() == again.to_payload()
+        stats = cache.stats()
+        assert stats["errors"] == 1
+        assert (stats["hits"], stats["misses"]) == (1, 2)
+
+    def test_database_errors_degrade_to_uncached_verdicts(self):
+        import sqlite3
+
+        class Broken:
+            def execute(self, *args):
+                raise sqlite3.DatabaseError("database disk image is malformed")
+
+            def commit(self):
+                raise sqlite3.DatabaseError("database disk image is malformed")
+
+            def close(self):
+                pass
+
+        cache = VerdictCache()
+        engine = EnvelopeEngine(cache=cache)
+        request = EngineRequest(source=self.SOURCE, name="MP")
+        reference = engine.run_request(request)
+        cache._connection = Broken()
+        first = engine.run_request(request)  # get and put both fail
+        second = engine.run_request(request)
+        for verdict in (first, second):
+            assert not verdict.cached
+            assert _comparable(verdict.to_payload()) == _comparable(
+                reference.to_payload()
+            )
+        stats = cache.stats()  # len() fails too: entries unknown
+        assert stats["entries"] is None
+        assert stats["errors"] == 5
+        assert stats["misses"] == 3
+
+
 class TestEngineCacheEquivalence:
     """Every cache hit is compared against a fresh exploration."""
 
@@ -285,6 +347,45 @@ class TestDaemonRoundTrip:
         with pytest.raises(ServiceError) as excinfo:
             service.submit(tests=())  # empty job
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("garbage", "bad header 'garbage'"),
+            ("", "empty litmus file"),
+            (
+                by_name("MP").source.replace("stw r7,0(r1)", "frob r7,0(r1)"),
+                "unknown mnemonic 'frob'",
+            ),
+        ],
+        ids=["garbage", "empty", "unknown-mnemonic"],
+    )
+    def test_malformed_source_is_400(self, service, source, message):
+        from repro.service.client import ServiceError
+
+        # These used to drop the connection without any response.
+        with pytest.raises(ServiceError) as excinfo:
+            service.query(source)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.payload["error"]
+        assert service.query(by_name("MP").source)["status"] == "Allowed"
+
+    def test_internal_error_is_500_and_the_daemon_keeps_serving(
+        self, service, monkeypatch
+    ):
+        from repro.service.client import ServiceError
+        from repro.service.engine import EnvelopeEngine
+
+        def explode(self, request):
+            raise RuntimeError("model crashed")
+
+        monkeypatch.setattr(EnvelopeEngine, "run_request", explode)
+        with pytest.raises(ServiceError) as excinfo:
+            service.query(by_name("MP").source)
+        assert excinfo.value.status == 500
+        assert excinfo.value.payload == {"error": "RuntimeError: model crashed"}
+        monkeypatch.undo()
+        assert service.query(by_name("MP").source)["status"] == "Allowed"
 
     @staticmethod
     def _post_with_length(service, length: str, body: bytes = b""):
