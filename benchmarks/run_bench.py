@@ -216,6 +216,7 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
             "states": stats.states_visited,
             "finals": stats.final_states,
             "transitions": stats.transitions_taken,
+            "reused_successors": stats.reused_successors,
             "unique_states": stats.unique_states,
             "reduction": reduction,
             "seconds": round(stats.seconds, 4),

@@ -3,8 +3,7 @@
 The paper reports that sequential checking takes minutes and exhaustive
 concurrent checking hours on a single machine, with no optimisation beyond
 the straightforward compilation of the definitions.  This bench measures
-transitions/second and states explored for representative tests, plus the
-effect of the eager-transition closure.
+transitions/second and states explored for representative tests.
 """
 
 from conftest import print_table

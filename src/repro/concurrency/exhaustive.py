@@ -25,7 +25,6 @@ from .search.core import (  # noqa: F401  (re-exported compatibility surface)
     ExplorationLimit,
     ExplorationResult,
     ExplorationStats,
-    Frontier as _Frontier,
     Outcome,
     Witness,
     outcome_of as _outcome_of,

@@ -4,10 +4,6 @@
 dependencies (section 2.1.4): the paper argues for single-bit granularity
 (``"bit"``), which makes ``MP+sync+addr-cr`` allowed, but the model can also
 be run with 4-bit CR fields or a monolithic CR for the E8 ablation.
-
-``eager`` enables the eager-transition closure (thread-local deterministic
-steps taken immediately); disabling it makes every internal step an explicit
-transition, exposing the raw state space for the E6/E8 performance studies.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ModelParams:
     cr_granularity: str = "bit"  # "bit" | "field" | "whole"
-    eager: bool = True
     max_instances_per_thread: int = 48
     max_states: int = 2_000_000
     forbid_undef_conditions: bool = True

@@ -44,7 +44,6 @@ from .core import (
     ExplorationLimit,
     ExplorationResult,
     ExplorationStats,
-    Frontier,
     Outcome,
     Witness,
     outcome_of,
@@ -177,7 +176,6 @@ __all__ = [
     "ExplorationLimit",
     "ExplorationResult",
     "ExplorationStats",
-    "Frontier",
     "Outcome",
     "Reducer",
     "STRATEGIES",

@@ -5,13 +5,12 @@ loops in ``concurrency/exhaustive.py`` (``explore`` and ``find_witness``).
 This module is the single search driver both modes -- and every strategy
 backend -- now run on:
 
-  * ``Frontier`` -- DFS stack + seen-set bookkeeping with state-budget
-    accounting (optionally over a caller-owned seen set, which the
-    sharded backend uses to share one dedup set across subtree roots);
   * ``run_search`` -- the unified loop, parameterised by a *visitor*
     (``CollectOutcomes`` for explore, ``StopOnWitness`` for witness
     searches) and an optional payload extender (transition traces for
-    witnesses, transition-index paths for worker-side searches);
+    witnesses, transition-index paths for worker-side searches), with
+    state-budget accounting over an optionally caller-owned seen set
+    (the sharded backend shares one dedup set across subtree roots);
   * the result vocabulary: ``ExplorationStats`` / ``ExplorationResult``
     (now with an explicit ``complete`` flag for budget-bounded partial
     results), ``Witness``, ``ExplorationLimit`` (now carrying the
@@ -38,11 +37,24 @@ from typing import (
     Tuple,
 )
 
+from ..keys import CachedKey
 from ..system import SystemState, Transition
 from ..thread import ModelError
+from .reduction import Reducer
 
 #: An outcome: ((tid, reg, value-int-or-None) ...) + ((addr,size,value) ...).
 Outcome = Tuple[Tuple, Tuple]
+
+#: Expanded states whose successor keys the unreduced loop keeps for
+#: diamond reuse; the oldest record is evicted first.  On a 60k-state
+#: search an unbounded record raised peak RSS by a third for ~10% more
+#: reuse (PERFORMANCE.md "Commuting-diamond successor reuse").
+SUCCESSOR_RECORD_LIMIT = 8192
+
+#: Cross-check hook: when set, the unreduced loop calls
+#: ``reuse_hook(state, transition, key)`` for every successor it takes
+#: from a record instead of applying ``transition`` to ``state``.
+reuse_hook: Optional[Callable] = None
 
 
 class ExplorationLimit(Exception):
@@ -72,6 +84,10 @@ class ExplorationStats:
     #: counts states *covered*; benchmarks record both so throughput
     #: entries stop conflating the two.
     unique_states: int = 0
+    #: Transitions counted in ``transitions_taken`` whose successor key
+    #: the unreduced loop took from a commuting diamond's other edge
+    #: instead of applying them (0 under every reduction).
+    reused_successors: int = 0
 
     def merge(self, other: "ExplorationStats") -> None:
         """Fold another search's accounting into this one (corpus totals)."""
@@ -82,6 +98,7 @@ class ExplorationStats:
         self.max_frontier = max(self.max_frontier, other.max_frontier)
         self.seconds += other.seconds
         self.unique_states += other.unique_states
+        self.reused_successors += other.reused_successors
 
 
 @dataclass
@@ -120,56 +137,6 @@ class Witness:
 
     def __len__(self) -> int:
         return 2
-
-
-class Frontier:
-    """DFS frontier + seen-set bookkeeping shared by the search modes.
-
-    Each stack entry is a (state, payload) pair; explore-mode searches
-    carry no payload, witness searches carry the transition path.
-    Popping counts a visited state against the budget; pushing applies a
-    transition, counts it, and deduplicates the successor against the
-    seen keys.  ``seen`` lets a caller share one dedup set across
-    several searches (the sharded backend's per-worker partition).
-    """
-
-    def __init__(self, initial: SystemState, payload, limit: int,
-                 stats: ExplorationStats, seen: Optional[Set] = None):
-        self.limit = limit
-        self.stats = stats
-        self.stack: List[Tuple[SystemState, object]] = [(initial, payload)]
-        if seen is None:
-            self.seen: Set = {initial.key()}
-        else:
-            seen.add(initial.key())
-            self.seen = seen
-
-    def __bool__(self) -> bool:
-        return bool(self.stack)
-
-    def pop(self) -> Tuple[SystemState, object]:
-        stats = self.stats
-        stats.max_frontier = max(stats.max_frontier, len(self.stack))
-        # Budget check *before* counting: an ``ExplorationLimit``'s
-        # partial stats must equal the budget exactly, not overstate the
-        # work by the one state that was never processed.
-        if stats.states_visited >= self.limit:
-            raise ExplorationLimit(
-                f"exceeded {self.limit} states; increase params.max_states",
-                stats,
-            )
-        state, payload = self.stack.pop()
-        stats.states_visited += 1
-        return state, payload
-
-    def push(self, state: SystemState, transition: Transition,
-             payload) -> None:
-        successor = state.apply(transition)
-        self.stats.transitions_taken += 1
-        key = successor.key()
-        if key not in self.seen:
-            self.seen.add(key)
-            self.stack.append((successor, payload))
 
 
 def registers_of_interest(
@@ -341,6 +308,17 @@ def run_search(
     historically skipped such states).  ``extend`` builds child payloads;
     ``None`` propagates no payload (explore mode).
 
+    Without a reducer every enabled transition is taken, but the second
+    edge of a commuting diamond is not re-applied.  When ``state``
+    (reached from ``parent`` by ``via``) lists a ``transition`` whose
+    ``parent``-successor was expanded with a recorded ``via``-successor
+    key, and the two commute exactly at ``parent``
+    (``Reducer.commutes_exactly``, never with an atomicity pair
+    recorded), that key is ``state``'s ``transition``-successor and is
+    already in ``seen``: the transition is counted (``transitions_taken``
+    and ``reused_successors``) without being applied, and the search
+    pushes exactly what applying it would have.
+
     A non-``None`` ``reducer`` (``reduction.Reducer``) switches to the
     pruning loop: sleep-set partial-order reduction and/or context
     bounding.  ``sleep_seed``/``context_seed`` seed the root's pruning
@@ -369,9 +347,31 @@ def run_search(
             extend=extend, seen=seen, reducer=reducer,
             sleep_seed=sleep_seed, context_seed=context_seed,
         )
-    frontier = Frontier(initial, payload, limit, stats, seen=seen)
-    while frontier:
-        state, path = frontier.pop()
+    if seen is None:
+        seen = set()
+    initial_key = initial.key()
+    seen.add(initial_key)
+    diamonds = Reducer()
+    hook = reuse_hook
+    # Expanded state key -> {transition: successor key}, insertion-ordered
+    # for oldest-first eviction.
+    records: Dict[CachedKey, Dict[Transition, CachedKey]] = {}
+    # (state, its key, payload, parent, parent's record, transition
+    # from the parent); children are popped after their parent's record
+    # is complete.
+    stack = [(initial, initial_key, payload, None, None, None)]
+    while stack:
+        stats.max_frontier = max(stats.max_frontier, len(stack))
+        # Budget check *before* counting: an ``ExplorationLimit``'s
+        # partial stats must equal the budget exactly, not overstate the
+        # work by the one state that was never processed.
+        if stats.states_visited >= limit:
+            raise ExplorationLimit(
+                f"exceeded {limit} states; increase params.max_states",
+                stats,
+            )
+        state, state_key, path, parent, parent_record, via = stack.pop()
+        stats.states_visited += 1
         if state.is_final():
             # Residual propagate/ack transitions only add coherence edges;
             # the final-memory enumeration over linear extensions of the
@@ -396,12 +396,46 @@ def run_search(
                     + state.render()
                 )
             continue
-        if extend is None:
-            for transition in transitions:
-                frontier.push(state, transition, None)
-        else:
-            for index, transition in enumerate(transitions):
-                frontier.push(state, transition, extend(path, transition, index))
+        if state.storage.atomic_pairs:
+            parent_record = None
+        record: Dict[Transition, CachedKey] = {}
+        for index, transition in enumerate(transitions):
+            stats.transitions_taken += 1
+            if parent_record is not None:
+                # The diamond parent -via-> state, parent -transition->
+                # sibling: if the sibling was expanded and the two edges
+                # commute exactly, state's transition-successor is the
+                # sibling's via-successor, already in ``seen``.
+                sibling = parent_record.get(transition)
+                if sibling is not None:
+                    sibling_record = records.get(sibling)
+                    if sibling_record is not None:
+                        key = sibling_record.get(via)
+                        if key is not None and diamonds.commutes_exactly(
+                            parent, transition, via
+                        ):
+                            record[transition] = key
+                            stats.reused_successors += 1
+                            if hook is not None:
+                                hook(state, transition, key)
+                            continue
+            successor = state.apply(transition)
+            key = successor.key()
+            record[transition] = key
+            if key not in seen:
+                seen.add(key)
+                stack.append((
+                    successor,
+                    key,
+                    None if extend is None
+                    else extend(path, transition, index),
+                    state,
+                    record,
+                    transition,
+                ))
+        if len(records) >= SUCCESSOR_RECORD_LIMIT:
+            del records[next(iter(records))]
+        records[state_key] = record
     return None
 
 
@@ -447,8 +481,8 @@ def _run_reduced(
 ):
     """``run_search`` with sleep-set pruning and/or a context bound.
 
-    Kept as a separate loop so the unreduced driver stays byte-for-byte
-    on its historical hot path (and bit-identical in its counters); the
+    Kept as a separate loop so the unreduced driver carries no pruning
+    bookkeeping (and stays bit-identical in its counters); the
     cross-strategy equivalence tests pin the observable agreement of the
     two loops.  See ``reduction`` for the pruning theory; the state/
     final/deadlock handling mirrors the plain loop exactly.

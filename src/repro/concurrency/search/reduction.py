@@ -38,8 +38,9 @@ a conservative under-approximation derived from the transition kinds in
 ``system.py`` / ``storage.py`` (see PERFORMANCE.md for the full
 argument against the ``_dirty_threads`` invariants):
 
-* An explicit ``ack_sync`` (non-eager mode) is kept dependent on
-  everything.  A ``propagate_barrier`` that delivers a sync's event to
+* An explicit ``ack_sync`` is kept dependent on everything (the eager
+  closure takes every enabled acknowledgement, so a search never lists
+  one).  A ``propagate_barrier`` that delivers a sync's event to
   the *last* missing thread triggers the acknowledgement eagerly
   inside ``apply`` (``_completes_sync``); since eager steps read only
   their own thread's state plus the acknowledged-sync set, that
@@ -91,6 +92,13 @@ insensitive to the relative order of non-overlapping writes, so the two
 states are observationally equivalent and pruning one order preserves
 the outcome envelope; this is exactly the exponential the seen-set can
 never deduplicate on its own.
+
+Every *other* independent pair commutes exactly: both orders reach
+key-identical states.  ``Reducer.commutes_exactly`` is that restriction
+(no shared propagation list); the unreduced search uses it to take the
+second edge of a commuting diamond from the first's record instead of
+applying it (``core.run_search``, PERFORMANCE.md "Commuting-diamond
+successor reuse").
 """
 
 from __future__ import annotations
@@ -331,6 +339,19 @@ class Reducer:
             return False
         return True
 
+    def commutes_exactly(self, state: SystemState, a: Transition,
+                         b: Transition) -> bool:
+        """Do both orders of ``a`` and ``b`` reach key-identical states?
+
+        ``independent`` minus the pairs that append to one propagation
+        list, which commute only up to that list's order.  Callers rule
+        out states with a recorded store-conditional atomicity pair.
+        """
+        targets = _append_targets(a)
+        if targets and targets == _append_targets(b):
+            return False
+        return self.independent(state, a, b)
+
     def _completes_sync(self, state: SystemState,
                         transition: Transition) -> bool:
         """Would this barrier step make a sync acknowledgeable?
@@ -546,8 +567,8 @@ def make_reducer(reduction: str = "none",
                  context_bound: Optional[int] = None) -> Optional[Reducer]:
     """A ``Reducer`` when any pruning is requested, else ``None``.
 
-    ``None`` keeps the unreduced driver byte-for-byte on its historical
-    hot path (and its counters bit-identical to the reference engine).
+    ``None`` selects the unreduced driver, whose counters stay
+    bit-identical to the reference engine's.
     """
     if reduction == "none" and context_bound is None:
         return None

@@ -340,7 +340,7 @@ class ShardedParallel(SearchStrategy):
                     stats.max_frontier, len(roots) + len(next_roots)
                 )
                 # Budget check *before* counting, exactly as
-                # ``Frontier.pop``: partial stats equal the budget.
+                # ``core.run_search``: partial stats equal the budget.
                 if stats.states_visited >= limit:
                     stats.unique_states = len(seen)
                     raise ExplorationLimit(

@@ -19,8 +19,7 @@ register reads, unique-successor fetch, restart-free instruction finish) are
 taken *eagerly*; only observably racy choices -- memory-read satisfaction,
 store/barrier commitment, store-conditional resolution, propagation, sync
 acknowledgement -- are enumerated as explicit transitions.  This is the
-standard ppcmem-family optimisation; the ``eager=False`` parameter exposes
-the unoptimised transition system for the ablation benchmarks.
+standard ppcmem-family optimisation.
 """
 
 from __future__ import annotations
@@ -73,6 +72,26 @@ class Transition:
     #: transitions (sleep sets, trace serialisation) should not hash the
     #: string.
     label: str = field(default="", compare=False)
+
+    # The search's successor records and sleep sets hash a transition
+    # several times, so the hash -- the value the generated ``__hash__``
+    # would return -- is computed once per object (the dataclass machinery
+    # leaves an explicitly defined ``__hash__`` alone).
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.tid, self.ioid, self.detail))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through ``__init__`` rather than from a pickled
+        # ``__dict__``: the cached hash covers ``kind`` (a str), whose
+        # hash differs between processes with different hash seeds.
+        return (
+            Transition, (self.kind, self.tid, self.ioid, self.detail, self.label)
+        )
 
     def __str__(self) -> str:
         return self.label or self.kind
@@ -128,8 +147,7 @@ class SystemState:
         self._key_cache: Optional[CachedKey] = None
         self._threads_key: Optional[Tuple] = None
         self._sorted_tids = sorted(self.threads)
-        if params.eager:
-            self.eager_closure()
+        self.eager_closure()
 
     # ------------------------------------------------------------------
     # Cloning / keys
@@ -1230,12 +1248,11 @@ class SystemState:
         """Apply a transition, returning the successor state."""
         state = self.clone()
         state._apply_in_place(transition)
-        if state.params.eager:
-            dirty = state._dirty_threads(transition)
-            # With no dirtied thread and no pending sync acknowledgements
-            # the closure is a provable no-op; skip its scaffolding.
-            if dirty or state.storage.unacknowledged_syncs:
-                state.eager_closure(dirty)
+        dirty = state._dirty_threads(transition)
+        # With no dirtied thread and no pending sync acknowledgements the
+        # closure is a provable no-op; skip its scaffolding.
+        if dirty or state.storage.unacknowledged_syncs:
+            state.eager_closure(dirty)
         return state
 
     def _dirty_threads(self, transition: Transition) -> Dict[int, int]:

@@ -9,7 +9,8 @@ front of one ``EnvelopeEngine`` with a persistent ``VerdictCache``:
   (which fans cache misses across worker processes under the
   ``plan_worker_budget`` policy);
 * ``GET /v1/jobs/<id>`` polls status, ``GET /v1/jobs/<id>/results``
-  fetches the verdicts once done;
+  fetches the verdicts once done (the newest ``MAX_FINISHED_JOBS``
+  finished jobs are kept; an older one answers 404 like an unknown id);
 * ``POST /v1/query`` answers one test synchronously (a cache hit
   returns in microseconds -- the "millionth user asking about MP+syncs"
   path);
@@ -24,6 +25,7 @@ keeps Ctrl-C from leaking exploration children at the CLI.
 
 from __future__ import annotations
 
+import collections
 import json
 import queue
 import signal
@@ -46,6 +48,11 @@ DEFAULT_PORT = 8765
 
 #: Largest request body the daemon reads; longer ones get 413 unread.
 MAX_BODY_BYTES = 1 << 20
+
+#: Finished (done or failed) jobs kept for polling.  Past this the oldest
+#: finished job is dropped and its id answers 404; queued and running
+#: jobs are never dropped.
+MAX_FINISHED_JOBS = 1024
 
 #: Exceptions that mean the request itself is malformed (HTTP 400): a
 #: missing field or bad option, unparsable litmus source, an unknown
@@ -105,6 +112,8 @@ class ServiceDaemon:
         self.engine = EnvelopeEngine(cache=self.cache, sail_backend=sail_backend)
         self.worker_budget = jobs
         self._jobs: Dict[str, Job] = {}
+        #: Ids of finished jobs still in ``_jobs``, oldest first.
+        self._finished: "collections.deque[str]" = collections.deque()
         self._jobs_lock = threading.Lock()
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._job_counter = 0
@@ -227,7 +236,7 @@ class ServiceDaemon:
             except queue.Empty:
                 continue
             job = self.job(job_id)
-            if job is None:  # pragma: no cover - jobs are never deleted
+            if job is None:  # pragma: no cover - queued jobs are kept
                 continue
             job.state = "running"
             job.started = time.time()
@@ -239,6 +248,7 @@ class ServiceDaemon:
                 job.state = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.finished = time.time()
+                self._retire(job)
                 continue
             job.verdicts = [
                 dict(verdict.to_payload(), cached=verdict.cached)
@@ -249,6 +259,15 @@ class ServiceDaemon:
             job.jobs_used = batch.jobs
             job.state = "done"
             job.finished = time.time()
+            self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished, dropping the oldest finished jobs
+        beyond ``MAX_FINISHED_JOBS``."""
+        with self._jobs_lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
 
     # ------------------------------------------------------------------
     # Synchronous query

@@ -194,6 +194,7 @@ def _stats_to_dict(stats: ExplorationStats) -> Dict[str, Any]:
         "deadlocks": stats.deadlocks,
         "max_frontier": stats.max_frontier,
         "unique_states": stats.unique_states,
+        "reused_successors": stats.reused_successors,
         "seconds": stats.seconds,
     }
 
@@ -207,6 +208,7 @@ def _stats_from_dict(data: Dict[str, Any]) -> ExplorationStats:
         max_frontier=data.get("max_frontier", 0),
         seconds=data.get("seconds", 0.0),
         unique_states=data.get("unique_states", 0),
+        reused_successors=data.get("reused_successors", 0),
     )
 
 

@@ -106,6 +106,15 @@ class TestEagerClosure:
         # x is 0 so the branch falls through: r3=10 executes, then r4=20.
         assert outcomes_of(result, [(0, "GPR3"), (0, "GPR4")]) == {(10, 20)}
 
+    def test_load_reads_initial_or_stored_value(self, model, assembler):
+        system = build(
+            model, assembler,
+            [["li r7,1", "stw r7,0(r1)"], ["lwz r5,0(r1)"]],
+            {0: {"GPR1": _b64(X)}, 1: {"GPR1": _b64(X)}},
+        )
+        result = explore(system)
+        assert outcomes_of(result, [(1, "GPR5")]) == {(0,), (1,)}
+
 
 class TestForwarding:
     def test_load_forwards_from_uncommitted_store(self, model, assembler):
@@ -217,20 +226,6 @@ class TestStoreConditional:
         )
         result = explore(system)
         assert outcomes_of(result, [(0, "GPR6")]) == {(0,)}
-
-
-class TestEagerAblation:
-    def test_non_eager_mode_matches_outcomes(self, model, assembler):
-        programs = [["li r7,1", "stw r7,0(r1)"],
-                    ["lwz r5,0(r1)"]]
-        registers = {0: {"GPR1": _b64(X)}, 1: {"GPR1": _b64(X)}}
-        eager = explore(build(model, assembler, programs, registers))
-        lazy_params = ModelParams(eager=True)
-        lazy = explore(
-            build(model, assembler, programs, registers, params=lazy_params)
-        )
-        keys = [(1, "GPR5")]
-        assert outcomes_of(eager, keys) == outcomes_of(lazy, keys) == {(0,), (1,)}
 
 
 class TestRunOne:

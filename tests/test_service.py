@@ -439,6 +439,57 @@ class TestDaemonRoundTrip:
         assert status == 400  # read and parsed: no "source" field
 
 
+class TestJobEviction:
+    """Finished jobs are dropped oldest first; queued ones never are."""
+
+    def test_oldest_finished_jobs_answer_404(self, monkeypatch):
+        import threading
+
+        from repro.service import daemon as daemon_module
+        from repro.service.client import ServiceClient, ServiceError
+
+        monkeypatch.setattr(daemon_module, "MAX_FINISHED_JOBS", 2)
+        daemon = daemon_module.ServiceDaemon(port=0)
+        run_batch = daemon.engine.run_batch
+        calls = []
+
+        def fail_first(requests, jobs=None):
+            calls.append(len(requests))
+            if len(calls) == 1:
+                raise RuntimeError("injected failure")
+            return run_batch(requests, jobs=jobs)
+
+        daemon.engine.run_batch = fail_first
+        thread = threading.Thread(
+            target=daemon._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        host, port = daemon.address
+        client = ServiceClient(url=f"http://{host}:{port}")
+        try:
+            source = by_name("MP").source
+            ids = [
+                client.submit(tests=[("MP", source)])["job"]
+                for _ in range(4)
+            ]
+            # No scheduler yet: all four stay queued, twice the bound.
+            assert [client.job(i)["state"] for i in ids] == ["queued"] * 4
+            daemon.start_scheduler()
+            client.wait(ids[-1], timeout=300)
+            for job_id in ids[:2]:  # the failed job, then the oldest done
+                for fetch in (client.job, client.results):
+                    with pytest.raises(ServiceError) as excinfo:
+                        fetch(job_id)
+                    assert excinfo.value.status == 404
+            assert [client.job(i)["state"] for i in ids[2:]] == ["done"] * 2
+            assert client.stats()["jobs"] == {"done": 2}
+        finally:
+            daemon.shutdown()
+            thread.join(timeout=10)
+
+
 class TestPoolShutdown:
     def test_shutdown_active_pools_terminates_children(self):
         import multiprocessing
