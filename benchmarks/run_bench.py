@@ -10,8 +10,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH] [--label L]
         [--suite e6|gen|gen-wide|service]
-        [--strategy sequential|sharded|bounded]
-        [--intra-jobs N] [--shard-depth D]
+        [--strategy sequential|bounded]
         [--reduction none|sleep|dpor] [--symmetry] [--context-bound N]
         [--sail-backend compiled|interp]
     python benchmarks/run_bench.py --paired REF --workload W --seed S
@@ -32,12 +31,7 @@ curated E6 family, appending a generated-suite throughput entry to the
 same trajectory (marked ``"suite": "gen"``).
 
 ``--strategy`` picks the search backend per test (entries record it
-under ``"strategy"``): ``sharded --intra-jobs N`` forks each test's own
-frontier across N workers, so multi-core boxes can finally speed up a
-*single* large exploration; on the 1-CPU reference container it measures
-the sharding overhead instead.  Sharded counters include cross-shard
-duplicate work, so compare its ``seconds``/wall numbers, not its
-transition counts, against sequential entries.
+under ``"strategy"``).
 
 ``SEED_BASELINE`` holds the seed implementation's numbers measured by the
 same protocol (one warm process, stats from inside ``explore``) on the
@@ -377,21 +371,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--strategy",
-        choices=("sequential", "sharded", "bounded"),
+        choices=("sequential", "bounded"),
         default="sequential",
         help="search backend per test (default sequential)",
-    )
-    parser.add_argument(
-        "--intra-jobs",
-        type=int,
-        default=None,
-        help="frontier workers per test for --strategy sharded",
-    )
-    parser.add_argument(
-        "--shard-depth",
-        type=int,
-        default=None,
-        help="frontier split depth for --strategy sharded",
     )
     parser.add_argument(
         "--reduction",
@@ -444,26 +426,12 @@ def main(argv=None) -> int:
 
     from repro.concurrency.search import make_strategy
 
-    if args.strategy != "sharded" and (
-        args.intra_jobs is not None or args.shard_depth is not None
-    ):
-        print(
-            "warning: --intra-jobs/--shard-depth only apply to "
-            "--strategy sharded; ignored",
-            file=sys.stderr,
-        )
     strategy = make_strategy(
         args.strategy,
-        jobs=args.intra_jobs,
-        shard_depth=args.shard_depth,
         reduction=args.reduction,
         context_bound=args.context_bound,
         symmetry=args.symmetry,
     )
-    # Record what will actually run, not the raw CLI args: resolve the
-    # worker count, and flag sharded entries that degrade to sequential
-    # (one usable CPU / no fork) so cross-machine comparisons aren't
-    # poisoned by a mislabeled backend.
     strategy_record = {"name": args.strategy}
     if args.reduction != "none":
         strategy_record["reduction"] = args.reduction
@@ -471,16 +439,6 @@ def main(argv=None) -> int:
         strategy_record["context_bound"] = args.context_bound
     if args.symmetry:
         strategy_record["symmetry"] = True
-    if args.strategy == "sharded":
-        from repro.concurrency.search import ShardedParallel
-
-        # Reuse the strategy's own resolution so record and runtime
-        # cannot drift apart.
-        resolved_jobs = strategy.effective_jobs()
-        strategy_record["intra_jobs"] = resolved_jobs
-        strategy_record["shard_depth"] = strategy.shard_depth
-        if resolved_jobs <= 1 or not ShardedParallel.can_fork():
-            strategy_record["effective"] = "sequential"
 
     from repro.isa.model import IsaModel, resolve_sail_backend
 
@@ -526,8 +484,7 @@ def main(argv=None) -> int:
         "suite": args.suite,
         "strategy": strategy_record,
         "sail_backend": sail_backend,
-        # Usable cores when the entry was recorded: wall-seconds of
-        # sharded entries are only comparable at equal core counts.
+        # Usable cores when the entry was recorded.
         "cpus": cpus,
         "per_test": per_test,
         "total": total,

@@ -16,14 +16,12 @@ from .parallel import (
     CorpusTestResult,
     default_job_count,
     explore_corpus,
-    plan_worker_budget,
 )
 from .params import DEFAULT_PARAMS, ModelParams
 from .search import (
     BoundedIterative,
     SearchStrategy,
     SequentialDFS,
-    ShardedParallel,
     make_strategy,
     resolve_strategy,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "ModelParams",
     "SearchStrategy",
     "SequentialDFS",
-    "ShardedParallel",
     "StorageSubsystem",
     "SystemState",
     "ThreadState",
@@ -61,7 +58,6 @@ __all__ = [
     "explore_corpus",
     "find_witness",
     "make_strategy",
-    "plan_worker_budget",
     "resolve_strategy",
     "run_one",
 ]

@@ -11,9 +11,8 @@ This module is now a thin facade over the pluggable search subsystem
 (``SequentialDFS`` by default, which is bit-identical -- states visited,
 transitions taken, outcomes -- to the pre-refactor loops).  Pass
 ``strategy`` (an instance or registry name) to search differently:
-``ShardedParallel`` forks the frontier across worker processes inside a
-single test, ``BoundedIterative`` trades completeness for a bounded,
-flagged partial result.
+``BoundedIterative`` trades completeness for a bounded, flagged partial
+result.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 A strategy answers the two oracle questions over a system-state graph --
 *all* reachable outcomes (``explore``) and *one* witnessing execution
 (``find_witness``) -- and is free to organise the traversal however it
-likes: plain DFS, frontier-sharded multiprocessing, budget-bounded
-iterative deepening.  Strategies are small frozen dataclasses so they
-are picklable (corpus workers receive them by value), hashable and
-cheaply replaceable (``dataclasses.replace`` retunes the worker budget).
+likes: plain DFS or budget-bounded iterative deepening.  Strategies are
+small frozen dataclasses so they are picklable (corpus workers receive
+them by value), hashable and cheaply replaceable (``dataclasses.replace``
+applies the pruning options).
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ backend -- now run on:
   * ``run_search`` -- the unified loop, parameterised by a *visitor*
     (``CollectOutcomes`` for explore, ``StopOnWitness`` for witness
     searches) and an optional payload extender (transition traces for
-    witnesses, transition-index paths for worker-side searches), with
-    state-budget accounting over an optionally caller-owned seen set
-    (the sharded backend shares one dedup set across subtree roots);
+    witnesses), with state-budget accounting over a caller-owned seen
+    set (its size is the search's ``unique_states``);
   * the result vocabulary: ``ExplorationStats`` / ``ExplorationResult``
     (now with an explicit ``complete`` flag for budget-bounded partial
     results), ``Witness``, ``ExplorationLimit`` (now carrying the
@@ -79,10 +78,10 @@ class ExplorationStats:
     max_frontier: int = 0
     seconds: float = 0.0
     #: Distinct state keys deduplicated against (seen-set sizes, merged).
-    #: ``states_visited`` measures work *done* -- for sharded searches it
-    #: folds in cross-partition duplicate exploration -- while this
-    #: counts states *covered*; benchmarks record both so throughput
-    #: entries stop conflating the two.
+    #: ``states_visited`` measures work *done* -- under dpor it counts
+    #: partial revisits, and ``BoundedIterative`` sums every deepening
+    #: iteration -- while this counts states *covered*; benchmarks record
+    #: both so throughput entries stop conflating the two.
     unique_states: int = 0
     #: Transitions counted in ``transitions_taken`` whose successor key
     #: the unreduced loop took from a commuting diamond's other edge
@@ -271,16 +270,9 @@ class StopOnWitness:
         pass
 
 
-#: Payload extender building a transition trace (sequential witnesses).
-def extend_trace(path, transition, _index):
+#: Payload extender building a transition trace (witness searches).
+def extend_trace(path, transition):
     return path + (transition,)
-
-
-#: Payload extender building a transition-*index* path -- picklable, and
-#: deterministically replayable because transition enumeration is a pure
-#: function of the state (the sharded backend ships these across workers).
-def extend_index_path(path, _transition, index):
-    return path + (index,)
 
 
 def run_search(
@@ -295,8 +287,6 @@ def run_search(
     seen: Optional[Set] = None,
     reducer=None,
     canon=None,
-    sleep_seed: FrozenSet[Transition] = frozenset(),
-    context_seed: Tuple[Optional[int], int] = (None, 0),
 ):
     """The unified DFS loop behind every search mode.
 
@@ -321,10 +311,9 @@ def run_search(
 
     A non-``None`` ``reducer`` (``reduction.Reducer``) switches to the
     pruning loop: sleep-set partial-order reduction and/or context
-    bounding.  ``sleep_seed``/``context_seed`` seed the root's pruning
-    state (the sharded backend resumes worker subtrees mid-path); with
-    sleep sets on, ``seen`` must be (and defaults to) a dict mapping
-    state key to its stored sleep set instead of a plain set.
+    bounding.  With sleep sets on, ``seen`` must be (and defaults to) a
+    dict mapping state key to its stored sleep set instead of a plain
+    set.
 
     A reducer with ``dpor`` set additionally requires ``canon`` (a
     ``symmetry.CanonicalKeys``) and dispatches to the source-DPOR loop
@@ -338,14 +327,12 @@ def run_search(
             initial, visitor, limit=limit, stats=stats,
             strict_deadlocks=strict_deadlocks, reducer=reducer,
             canon=canon, payload=payload, extend=extend, seen=seen,
-            sleep_seed=sleep_seed, context_seed=context_seed,
         )
     if reducer is not None:
         return _run_reduced(
             initial, visitor, limit=limit, stats=stats,
             strict_deadlocks=strict_deadlocks, payload=payload,
             extend=extend, seen=seen, reducer=reducer,
-            sleep_seed=sleep_seed, context_seed=context_seed,
         )
     if seen is None:
         seen = set()
@@ -399,7 +386,7 @@ def run_search(
         if state.storage.atomic_pairs:
             parent_record = None
         record: Dict[Transition, CachedKey] = {}
-        for index, transition in enumerate(transitions):
+        for transition in transitions:
             stats.transitions_taken += 1
             if parent_record is not None:
                 # The diamond parent -via-> state, parent -transition->
@@ -427,8 +414,7 @@ def run_search(
                 stack.append((
                     successor,
                     key,
-                    None if extend is None
-                    else extend(path, transition, index),
+                    None if extend is None else extend(path, transition),
                     state,
                     record,
                     transition,
@@ -476,8 +462,6 @@ def _run_reduced(
     extend: Optional[Callable],
     seen,
     reducer,
-    sleep_seed: FrozenSet[Transition],
-    context_seed: Tuple[Optional[int], int],
 ):
     """``run_search`` with sleep-set pruning and/or a context bound.
 
@@ -485,21 +469,17 @@ def _run_reduced(
     bookkeeping (and stays bit-identical in its counters); the
     cross-strategy equivalence tests pin the observable agreement of the
     two loops.  See ``reduction`` for the pruning theory; the state/
-    final/deadlock handling mirrors the plain loop exactly.
-
-    The root is always explored fully (never pruned against ``seen``):
-    callers resume worker subtrees from roots whose keys the shared
-    prefix seen-structure already records.  Exploring a superset of the
-    stored difference is always sound -- the stored set only shrinks.
+    final/deadlock handling mirrors the plain loop exactly.  The root
+    starts with an empty sleep set and no context switches.
     """
     sleep_on = reducer.sleep
     if seen is None:
         seen = {} if sleep_on else set()
     if sleep_on:
-        visit_sleep(seen, initial.key(), sleep_seed)
+        seen[initial.key()] = frozenset()
     else:
         seen.add(initial.key())
-    stack = [(initial, payload, sleep_seed, context_seed, None)]
+    stack = [(initial, payload, frozenset(), (None, 0), None)]
     while stack:
         stats.max_frontier = max(stats.max_frontier, len(stack))
         if stats.states_visited >= limit:
@@ -528,7 +508,7 @@ def _run_reduced(
                 )
             continue
         explored: List[Transition] = []
-        for index, transition in enumerate(transitions):
+        for transition in transitions:
             if sleep_on:
                 if wake is not None and transition not in wake:
                     # A revisit: everything outside the woken difference
@@ -564,27 +544,10 @@ def _run_reduced(
                 child_wake = None
             stack.append((
                 successor,
-                extend(path, transition, index) if extend else None,
+                extend(path, transition) if extend else None,
                 child_sleep,
                 reducer.advance_context(context, transition),
                 child_wake,
             ))
     return None
 
-
-def replay_index_path(
-    initial: SystemState, indexes: Iterable[int]
-) -> Tuple[List[Transition], SystemState]:
-    """Rebuild the transition trace behind a transition-index path.
-
-    Enumeration order is deterministic, so replaying the indexes from the
-    same initial state reproduces the worker's exact trace.
-    """
-    trace: List[Transition] = []
-    state = initial
-    for index in indexes:
-        transitions = state.enumerate_transitions()
-        transition = transitions[index]
-        trace.append(transition)
-        state = state.apply(transition)
-    return trace, state

@@ -61,7 +61,7 @@ pruning the sparse-conflict shapes.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional
 
 from ..symmetry import (
     OUT_OF_CELLS,
@@ -292,8 +292,6 @@ def run_dpor(
     payload=None,
     extend: Optional[Callable] = None,
     seen=None,
-    sleep_seed: FrozenSet[Transition] = frozenset(),
-    context_seed: Tuple[Optional[int], int] = (None, 0),
 ):
     """The source-DPOR loop (see the module docstring).
 
@@ -521,7 +519,7 @@ def run_dpor(
                 return None
             chosen = transitions[0]
             if extend:
-                child_payload = extend(child_payload, chosen, 0)
+                child_payload = extend(child_payload, chosen)
             state = state.apply(chosen)
             stats.transitions_taken += 1
             steps += 1
@@ -801,7 +799,7 @@ def run_dpor(
              entry, backtrack, entry[0])
         return None
 
-    found = arrive(initial, payload, sleep_seed, context_seed)
+    found = arrive(initial, payload, frozenset(), (None, 0))
     if found is not None:
         return found
     while frames:
@@ -875,10 +873,9 @@ def run_dpor(
                         and sibling not in frame.sleep
                     ):
                         frame.backtrack.add(sibling)
-        index = frame.transitions.index(transition) if extend else 0
         found = arrive(
             successor,
-            extend(frame.payload, transition, index) if extend else None,
+            extend(frame.payload, transition) if extend else None,
             child_sleep,
             reducer.advance_context(frame.context, transition),
             succ_enabled,

@@ -157,18 +157,22 @@ def _tail_cp_blocker(state: SystemState, target: int) -> bool:
     )
 
 
+#: The ``reduction`` modes, weakest first.
+REDUCTIONS = ("none", "sleep", "dpor")
+
+
 class Reducer:
     """Per-search pruning engine: sleep sets and/or a context bound.
 
-    One instance lives for the duration of one ``run_search`` (or one
-    sharded prefix-plus-worker search); it carries the mutable pruning
-    state the frozen strategy dataclasses cannot: memo tables and the
-    ``truncated`` flag that downgrades results to ``complete=False``.
+    One instance lives for the duration of one ``run_search``; it
+    carries the mutable pruning state the frozen strategy dataclasses
+    cannot: memo tables and the ``truncated`` flag that downgrades
+    results to ``complete=False``.
     """
 
     def __init__(self, reduction: str = "none",
                  context_bound: Optional[int] = None):
-        if reduction not in ("none", "sleep", "dpor"):
+        if reduction not in REDUCTIONS:
             raise ValueError(
                 f"unknown reduction {reduction!r} "
                 "(choose none, sleep or dpor)"

@@ -178,9 +178,10 @@ def run_litmus(
 
     ``strategy`` picks the search backend (a ``SearchStrategy`` instance
     or registry name; default sequential DFS) -- e.g.
-    ``ShardedParallel(jobs=4)`` forks the test's own frontier across
-    worker processes.  ``reduction``/``context_bound`` apply the
-    partial-order reduction options to whichever backend runs
+    ``BoundedIterative()`` returns a flagged partial outcome set where
+    the sequential search would raise ``ExplorationLimit``.
+    ``reduction``/``context_bound`` apply the partial-order reduction
+    options to whichever backend runs
     (``reduction="sleep"`` preserves the outcome envelope; a context
     bound may truncate it, reported through ``exploration.complete`` /
     the ``StateLimit`` status; ``reduction="dpor"`` layers source sets
@@ -243,12 +244,11 @@ def run_corpus(
 
     ``entries`` may hold ``CorpusEntry``-like objects (anything with
     ``name``/``source`` attributes) or plain ``(name, source)`` pairs;
-    ``None`` runs the built-in corpus.  ``jobs`` is the total worker
-    budget (default: usable CPU count), split between per-test sharding
-    and -- for a single test with a ``ShardedParallel`` strategy --
-    intra-test frontier workers; ``strategy`` picks each test's search
-    backend.  Returns a ``repro.concurrency.parallel.CorpusReport`` with
-    per-test verdicts and merged ``ExplorationStats``.
+    ``None`` runs the built-in corpus.  ``jobs`` is the worker budget
+    (default: usable CPU count), one test per worker; ``strategy`` picks
+    each test's search backend.  Returns a
+    ``repro.concurrency.parallel.CorpusReport`` with per-test verdicts
+    and merged ``ExplorationStats``.
     ``reduction``/``context_bound`` apply the partial-order reduction
     options to every test's backend.
     """

@@ -6,8 +6,7 @@ front of one ``EnvelopeEngine`` with a persistent ``VerdictCache``:
 * ``POST /v1/jobs`` submits a batch -- litmus sources and/or a generator
   spec -- onto an async job queue; a background scheduler thread drains
   the queue, running each batch through ``EnvelopeEngine.run_batch``
-  (which fans cache misses across worker processes under the
-  ``plan_worker_budget`` policy);
+  (which fans cache misses across worker processes, one test each);
 * ``GET /v1/jobs/<id>`` polls status, ``GET /v1/jobs/<id>/results``
   fetches the verdicts once done (the newest ``MAX_FINISHED_JOBS``
   finished jobs are kept; an older one answers 404 like an unknown id);

@@ -11,15 +11,15 @@ single façade, with
   ``litmus/emit.emit_litmus`` (a parse/emit fixed point), so two
   differently-formatted copies of the same test are the same query;
 * strategy construction through ``concurrency.search.build_strategy``
-  (the one shared path for ``--strategy``/``--shard-depth``/
-  ``--reduction``/``--context-bound``);
+  (the one shared path for ``--strategy``/``--reduction``/
+  ``--context-bound``);
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
   reduction, backend, ...) correctly misses because the parameters are
   part of the key (``service.cache.cache_key``);
 * ``run_batch`` for many requests at once, scheduling cache misses
-  through the parallel corpus runner under the ``plan_worker_budget``
-  policy -- this is the daemon's job executor.
+  through the parallel corpus runner, one test per worker -- this is
+  the daemon's job executor.
 
 Verdicts are plain data (JSON-serialisable via ``to_payload``), so the
 same object flows from the engine into the cache, over the daemon's
@@ -33,23 +33,39 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import build_strategy
+from ..concurrency.search import REDUCTIONS, STRATEGIES, build_strategy
 from ..concurrency.search.core import ExplorationLimit, ExplorationStats
 from .cache import VerdictCache, cache_key
 
 #: Outcome tuples as produced by the search core: hashable nested tuples.
 Outcome = Tuple[Tuple, Tuple]
 
-#: ``EngineRequest`` fields the daemon accepts from JSON "options".
-REQUEST_OPTION_FIELDS = (
-    "strategy",
-    "jobs",
-    "shard_depth",
-    "reduction",
-    "context_bound",
-    "symmetry",
-    "max_states",
-)
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The JSON "options" the daemon accepts, each with a check on its value
+#: and what the value must be.
+REQUEST_OPTIONS = {
+    "strategy": (
+        lambda value: isinstance(value, str) and value in STRATEGIES,
+        f"one of {sorted(STRATEGIES)}",
+    ),
+    "reduction": (
+        lambda value: isinstance(value, str) and value in REDUCTIONS,
+        f"one of {list(REDUCTIONS)}",
+    ),
+    "context_bound": (
+        lambda value: value is None or (_is_int(value) and value >= 0),
+        "an integer >= 0 or null",
+    ),
+    "symmetry": (lambda value: isinstance(value, bool), "true or false"),
+    "max_states": (
+        lambda value: value is None or (_is_int(value) and value >= 1),
+        "an integer >= 1 or null",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -65,8 +81,6 @@ class EngineRequest:
     source: str
     name: Optional[str] = None
     strategy: Any = None
-    jobs: Optional[int] = None
-    shard_depth: Optional[int] = None
     reduction: str = "none"
     context_bound: Optional[int] = None
     symmetry: bool = False
@@ -76,11 +90,23 @@ class EngineRequest:
     def from_options(
         cls, source: str, name: Optional[str] = None, options: Optional[dict] = None
     ) -> "EngineRequest":
-        """Build a request from a JSON-safe options dict (daemon path)."""
+        """Build a request from a JSON-safe options dict (daemon path).
+
+        Every value is checked here, before anything is resolved, run
+        or cached; a bad one raises ``ValueError`` naming the option.
+        """
         options = options or {}
-        unknown = set(options) - set(REQUEST_OPTION_FIELDS)
+        if not isinstance(options, dict):
+            raise ValueError(f"options must be an object, got {options!r}")
+        unknown = set(options) - set(REQUEST_OPTIONS)
         if unknown:
             raise ValueError(f"unknown request options: {sorted(unknown)}")
+        for option, value in options.items():
+            valid, rule = REQUEST_OPTIONS[option]
+            if not valid(value):
+                raise ValueError(
+                    f"option {option!r} must be {rule}, got {value!r}"
+                )
         return cls(source=source, name=name, **options)
 
 
@@ -265,8 +291,6 @@ class EnvelopeEngine:
         canonical = emit_litmus(test)
         strategy = build_strategy(
             request.strategy,
-            jobs=request.jobs,
-            shard_depth=request.shard_depth,
             reduction=request.reduction,
             context_bound=request.context_bound,
             symmetry=request.symmetry,
@@ -313,9 +337,8 @@ class EnvelopeEngine:
         """Answer many requests, fanning cache misses across workers.
 
         Misses are grouped by their (strategy, budget) parameter tuple
-        and each group runs through the parallel corpus runner, which
-        splits the ``jobs`` budget between per-test and intra-test
-        workers via ``plan_worker_budget``.  Verdict order matches
+        and each group runs through the parallel corpus runner, one test
+        per worker within the ``jobs`` budget.  Verdict order matches
         request order.
         """
         from ..concurrency.parallel import explore_corpus
@@ -368,11 +391,6 @@ class EnvelopeEngine:
 
     def _store(self, resolved: _Resolved, verdict: Verdict) -> None:
         if self.cache is None:
-            return
-        # Partial outcome sets from the sharded backend depend on worker
-        # timing; every other verdict (complete, or deterministically
-        # truncated by sequential/bounded search) is safe to memoise.
-        if not verdict.complete and resolved.strategy.name == "sharded":
             return
         self.cache.put(resolved.key, verdict.name, verdict.to_payload())
 

@@ -351,15 +351,15 @@ def check_suite(
     """Run a generated suite and check every envelope invariant.
 
     The suite runs as one batch through the service engine
-    (``repro.service.EnvelopeEngine.run_batch``): tests are sharded
-    across a ``jobs`` worker budget, and -- when ``engine`` carries a
-    ``VerdictCache`` -- previously-decided tests are answered from the
-    cache instead of re-explored.  ``strategy`` picks each test's search
-    backend (``BoundedIterative`` turns combinatorial blowups into
-    partial-outcome "StateLimit" skips with real work accounting);
-    ``max_states`` bounds each test's exploration (blowups become skips,
-    not failures).  ``reduction="sleep"`` prunes commuting interleavings
-    while preserving every verdict; ``context_bound`` trades
+    (``repro.service.EnvelopeEngine.run_batch``): tests run one per
+    worker within a ``jobs`` worker budget, and -- when ``engine``
+    carries a ``VerdictCache`` -- previously-decided tests are answered
+    from the cache instead of re-explored.  ``strategy`` picks each
+    test's search backend (``BoundedIterative`` turns combinatorial
+    blowups into partial-outcome "StateLimit" skips with real work
+    accounting); ``max_states`` bounds each test's exploration (blowups
+    become skips, not failures).  ``reduction="sleep"`` prunes commuting
+    interleavings while preserving every verdict; ``context_bound`` trades
     completeness for speed (truncated tests degrade to "StateLimit"
     skips like budget exhaustion does).  ``reduction="dpor"`` layers
     source sets and canonical state keys on top of sleep sets;

@@ -16,10 +16,9 @@ Modes:
 
 The oracle verbs are thin clients of the shared service engine
 (``repro.service.EnvelopeEngine``): ``run``, ``corpus``, ``litmus`` and
-``gen`` take ``--strategy {sequential,sharded,bounded}`` (plus
-``--shard-depth``) to pick the search backend; ``sharded`` forks a
-single test's frontier across worker processes (``run --jobs N``, or
-``litmus FILE --jobs N`` with one file).  All four also take
+``gen`` take ``--strategy {sequential,bounded}`` to pick the search
+backend; ``corpus``, ``litmus`` and ``gen --check`` spread their tests
+one per worker process (``--jobs N``).  All four also take
 ``--reduction {sleep,dpor}`` (verdict-preserving partial-order
 reduction; ``dpor`` layers source sets and canonical state keys on top
 of sleep sets, with ``--symmetry`` also folding permutation-equivalent
@@ -39,7 +38,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..concurrency.search import STRATEGIES
+from ..concurrency.search import REDUCTIONS, STRATEGIES
 from ..litmus.library import corpus
 from ..litmus.parser import parse_litmus
 from ..litmus.runner import build_system
@@ -60,20 +59,12 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
         "--strategy",
         choices=sorted(STRATEGIES),
         default="sequential",
-        help="search backend: sequential DFS, sharded intra-test "
-        "multiprocessing, or bounded iterative deepening "
-        "(default sequential)",
-    )
-    parser.add_argument(
-        "--shard-depth",
-        type=int,
-        default=None,
-        help="frontier split depth for --strategy sharded "
-        "(levels expanded before forking workers)",
+        help="search backend: sequential DFS or bounded iterative "
+        "deepening (default sequential)",
     )
     parser.add_argument(
         "--reduction",
-        choices=("none", "sleep", "dpor"),
+        choices=REDUCTIONS,
         default="none",
         help="partial-order reduction: 'sleep' prunes commuting "
         "interleavings with sleep sets; 'dpor' adds source-DPOR race "
@@ -100,15 +91,8 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
 def _strategy_from(args):
     from ..concurrency.search import build_strategy
 
-    if args.shard_depth is not None and args.strategy != "sharded":
-        print(
-            f"warning: --shard-depth only applies to --strategy sharded; "
-            f"ignored for {args.strategy}",
-            file=sys.stderr,
-        )
     return build_strategy(
         args.strategy,
-        shard_depth=args.shard_depth,
         reduction=args.reduction,
         context_bound=args.context_bound,
         symmetry=args.symmetry,
@@ -127,14 +111,13 @@ def _engine_from(args):
     return EnvelopeEngine(cache=cache)
 
 
-def _request_for(source, name, args, jobs=None, max_states=None):
+def _request_for(source, name, args, max_states=None):
     from ..service.engine import EngineRequest
 
     return EngineRequest(
         source=source,
         name=name,
         strategy=_strategy_from(args),
-        jobs=jobs,
         max_states=max_states,
     )
 
@@ -148,13 +131,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_parser = sub.add_parser("run", help="exhaustively run a litmus test")
     run_parser.add_argument("test", help="path to a .litmus file")
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="intra-test frontier workers for --strategy sharded "
-        "(default: CPU count)",
-    )
     _add_strategy_args(run_parser)
     _add_cache_arg(run_parser)
 
@@ -319,15 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        jobs = args.jobs
-        if args.strategy != "sharded" and jobs is not None:
-            print(
-                "warning: run --jobs only applies to --strategy sharded; "
-                "running single-process",
-                file=sys.stderr,
-            )
-            jobs = None
-        return _cmd_run(args.test, args, jobs)
+        return _cmd_run(args.test, args)
     if args.command == "interactive":
         return _cmd_interactive(args.test)
     if args.command == "corpus":
@@ -358,13 +326,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2
 
 
-def _cmd_run(path: str, args, jobs=None) -> int:
+def _cmd_run(path: str, args) -> int:
     from ..service.client import format_verdict
 
     with open(path) as handle:
         source = handle.read()
     engine = _engine_from(args)
-    verdict = engine.run_request(_request_for(source, None, args, jobs=jobs))
+    verdict = engine.run_request(_request_for(source, None, args))
     for line in format_verdict(dict(verdict.to_payload(), cached=verdict.cached)):
         print(line)
     return 0
@@ -555,8 +523,6 @@ def _client_options(args) -> dict:
     options = {}
     if args.strategy != "sequential":
         options["strategy"] = args.strategy
-    if args.shard_depth is not None:
-        options["shard_depth"] = args.shard_depth
     if args.reduction != "none":
         options["reduction"] = args.reduction
     if args.context_bound is not None:

@@ -7,9 +7,6 @@ diamond from the record of the first instead of applying it.
 outcome set and witness trace with it.  ``comparing_reuse`` additionally
 applies every reused successor and checks that its key is the one the
 record supplied.
-
-Sharded workers are forked processes: there a mismatch raises, and the
-parent reports the worker failure.
 """
 
 import os
@@ -25,11 +22,9 @@ from repro.concurrency.search import (
     ExplorationLimit,
     ExplorationStats,
     SequentialDFS,
-    ShardedParallel,
     bounded,
     core,
     sequential,
-    sharded,
 )
 from repro.concurrency.events import WriteId
 from repro.concurrency.system import SystemState, Transition
@@ -52,8 +47,7 @@ class Frontier:
     carry no payload, witness searches carry the transition path.
     Popping counts a visited state against the budget; pushing applies a
     transition, counts it, and deduplicates the successor against the
-    seen keys.  ``seen`` lets a caller share one dedup set across
-    several searches (the sharded backend's per-worker partition).
+    seen keys.  ``seen`` lets a caller own the dedup set.
     """
 
     def __init__(self, initial: SystemState, payload, limit: int,
@@ -130,13 +124,13 @@ def reference_run_search(initial, visitor, *, limit, stats,
             for transition in transitions:
                 frontier.push(state, transition, None)
         else:
-            for index, transition in enumerate(transitions):
-                frontier.push(state, transition, extend(path, transition, index))
+            for transition in transitions:
+                frontier.push(state, transition, extend(path, transition))
     return None
 
 
 #: Every module that binds ``run_search`` for a strategy to call.
-_DRIVER_MODULES = (sequential, bounded, sharded)
+_DRIVER_MODULES = (sequential, bounded)
 
 
 @contextmanager
@@ -144,13 +138,11 @@ def reference_search():
     """Run every unreduced search through ``reference_run_search``."""
     originals = [module.run_search for module in _DRIVER_MODULES]
 
-    def dispatch(initial, visitor, *, reducer=None, canon=None,
-                 sleep_seed=frozenset(), context_seed=(None, 0), **options):
+    def dispatch(initial, visitor, *, reducer=None, canon=None, **options):
         if reducer is None:
             return reference_run_search(initial, visitor, **options)
         return core.run_search(
-            initial, visitor, reducer=reducer, canon=canon,
-            sleep_seed=sleep_seed, context_seed=context_seed, **options
+            initial, visitor, reducer=reducer, canon=canon, **options
         )
 
     for module in _DRIVER_MODULES:
@@ -186,16 +178,13 @@ def comparing_reuse():
     (CI's reduction-smoke job runs it over a larger generated suite).
     """
     check = ReuseCheck()
-    parent_pid = os.getpid()
 
     def apply_and_compare(state, transition, key):
         check.calls += 1
         if state.apply(transition).key() != key:
             check.mismatches += 1
-            if check.mismatches == 1 or os.getpid() != parent_pid:
+            if check.mismatches == 1:
                 check.first = f"{transition} from\n{state.render()}"
-            if os.getpid() != parent_pid:
-                raise AssertionError(check.first)
 
     saved = core.reuse_hook
     core.reuse_hook = apply_and_compare
@@ -295,19 +284,6 @@ def test_bounded_iterative(compared, model):
     strategy = BoundedIterative(initial_budget=64)
     assert _against_reference(tests, model, strategy, 2000) > 0
     compared.assert_clean()
-
-
-def test_sharded(compared, model):
-    """Workers share one seen set across their subtree roots.  They reuse
-    in forked processes, where a mismatch raises and fails the search;
-    the reuse count comes back in the merged stats."""
-    tests = [
-        by_name(name).parse()
-        for name in ("SB+syncs", "R+syncs", "ATOM-intervene", "WRC")
-    ]
-    strategy = ShardedParallel(jobs=2, shard_depth=3)
-    assert _against_reference(tests, model, strategy, 20000) > 0
-    assert not compared.mismatches
 
 
 def _trace(witness):

@@ -5,9 +5,9 @@ Every backend must answer the oracle questions identically:
   * ``SequentialDFS`` stays bit-identical (states visited, transitions
     taken, outcomes) to the pre-refactor engine -- pinned against the
     recorded seed-baseline counters;
-  * ``ShardedParallel`` (jobs=2) and ``BoundedIterative`` (ample budget)
-    produce verdicts and outcome sets identical to ``SequentialDFS`` for
-    the curated corpus and a seed-0 sample of generated tests;
+  * ``BoundedIterative`` (ample budget) produces verdicts and outcome
+    sets identical to ``SequentialDFS`` for the curated corpus and a
+    seed-0 sample of generated tests;
   * ``BoundedIterative`` degrades to a *flagged partial* result instead
     of raising, and ``ExplorationLimit`` carries the partial stats so
     budget exhaustion no longer zeroes work accounting.
@@ -21,11 +21,10 @@ import os
 import pytest
 
 from repro.concurrency.exhaustive import ExplorationLimit, explore, find_witness
-from repro.concurrency.parallel import default_job_count, plan_worker_budget
+from repro.concurrency.parallel import corpus_job_count, default_job_count
 from repro.concurrency.search import (
     BoundedIterative,
     SequentialDFS,
-    ShardedParallel,
     make_strategy,
     resolve_strategy,
 )
@@ -47,10 +46,7 @@ FAST_NAMES = sorted(e.name for e in corpus() if e.name not in SLOW)
 SLOW_SAMPLE = ["WRC+sync+addr", "2+2W+syncs", "LB+addrs+WW"]
 SLOW_FULL = sorted(SLOW - {"IRIW+syncs"})
 
-STRATEGIES = [
-    ShardedParallel(jobs=2, shard_depth=3),
-    BoundedIterative(),
-]
+STRATEGIES = [BoundedIterative()]
 
 
 @pytest.fixture(scope="module")
@@ -131,17 +127,16 @@ class TestSequentialBitIdentity:
         system, _ = build_system(by_name("MP").parse(), model)
         default = explore(system)
         named = explore(system, strategy="sequential")
-        sharded = explore(system, strategy=ShardedParallel(jobs=2))
+        bounded = explore(system, strategy=BoundedIterative(initial_budget=8))
         assert named.outcomes == default.outcomes
         assert named.stats.states_visited == default.stats.states_visited
-        assert sharded.outcomes == default.outcomes
+        assert bounded.outcomes == default.outcomes
 
 
 class TestWitnessEquivalence:
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=2),
-         BoundedIterative(initial_budget=64)],
+        [SequentialDFS(), BoundedIterative(initial_budget=64)],
         ids=lambda s: s.name,
     )
     def test_witness_found_and_replayable(self, model, strategy):
@@ -160,8 +155,7 @@ class TestWitnessEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [SequentialDFS(), ShardedParallel(jobs=2, shard_depth=2),
-         BoundedIterative()],
+        [SequentialDFS(), BoundedIterative()],
         ids=lambda s: s.name,
     )
     def test_unsatisfiable_predicate(self, model, strategy):
@@ -234,23 +228,6 @@ class TestBoundedWitnessSoundness:
         assert excinfo.value.stats.states_visited > 0
 
 
-class TestShardedWorkerCrash:
-    def test_dead_worker_raises_instead_of_hanging(self, model, monkeypatch):
-        """A worker killed before reporting must fail loudly, not hang."""
-        import os as os_module
-
-        from repro.concurrency.search import sharded as sharded_module
-        from repro.concurrency.thread import ModelError
-
-        def crash(worker_id, root_indexes, mode, queue):
-            os_module._exit(17)
-
-        monkeypatch.setattr(sharded_module, "_shard_worker", crash)
-        system, _ = build_system(by_name("SB+syncs").parse(), model)
-        with pytest.raises(ModelError, match="died without reporting"):
-            ShardedParallel(jobs=2, shard_depth=3).explore(system)
-
-
 class TestPartialStatsAccounting:
     def test_exploration_limit_carries_stats(self, model):
         system, _ = build_system(by_name("SB+syncs").parse(), model)
@@ -291,79 +268,34 @@ class TestWorkerBudgetComposition:
         assert default_job_count() == 3
 
     def test_plan_prefers_corpus_sharding(self):
-        assert plan_worker_budget(4, 10) == (4, 1)
-        assert plan_worker_budget(4, 4) == (4, 1)
-
-    def test_plan_distributes_leftover_budget_as_intra_jobs(self):
-        # 2 tests under --jobs 8 used to strand 6 workers as (2, 1).
-        assert plan_worker_budget(8, 2) == (2, 4)
-        assert plan_worker_budget(8, 3) == (3, 2)
-        assert plan_worker_budget(3, 2) == (2, 1)  # no whole worker spare
-        assert plan_worker_budget(5, 4) == (4, 1)
-
-    def test_plan_gives_single_test_the_budget(self):
-        assert plan_worker_budget(4, 1) == (1, 4)
-        assert plan_worker_budget(1, 5) == (1, 1)
+        # One worker per test while the budget lasts.
+        assert corpus_job_count(4, 10) == 4
+        assert corpus_job_count(4, 4) == 4
+        assert corpus_job_count(8, 2) == 2
 
     def test_plan_rejects_zero_budget(self):
         with pytest.raises(ValueError):
-            plan_worker_budget(0, 3)
+            corpus_job_count(0, 3)
 
     def test_plan_budget_smaller_than_corpus(self):
         # Fewer workers than tests: every worker runs tests back to
-        # back sequentially; no intra-test splitting.
-        assert plan_worker_budget(2, 5) == (2, 1)
-        assert plan_worker_budget(1, 1) == (1, 1)
-        assert plan_worker_budget(7, 100) == (7, 1)
+        # back sequentially.
+        assert corpus_job_count(2, 5) == 2
+        assert corpus_job_count(1, 1) == 1
+        assert corpus_job_count(7, 100) == 7
 
     def test_plan_empty_corpus_does_not_oversubscribe(self):
-        # An empty corpus used to plan (1, budget), handing the whole
-        # budget to a pool with nothing to run.
-        assert plan_worker_budget(8, 0) == (1, 1)
-        assert plan_worker_budget(1, 0) == (1, 1)
+        # An empty corpus runs inline instead of starting a pool with
+        # nothing to run.
+        assert corpus_job_count(8, 0) == 1
+        assert corpus_job_count(1, 0) == 1
 
     def test_plan_never_oversubscribes_budget(self):
         for budget in range(1, 13):
             for test_count in range(0, 13):
-                corpus_jobs, intra_jobs = plan_worker_budget(
-                    budget, test_count
-                )
-                assert corpus_jobs >= 1 and intra_jobs >= 1
-                assert corpus_jobs * intra_jobs <= max(budget, 1), (
-                    budget, test_count, corpus_jobs, intra_jobs,
-                )
-
-    def test_single_test_corpus_uses_intra_test_workers(self, model):
-        # One test + jobs=2 + sharded: the budget flows to the frontier
-        # workers; verdict and outcomes still match sequential.
-        entry = by_name("SB+syncs")
-        report = run_corpus([entry], jobs=2, strategy="sharded")
-        assert report.jobs == 1
-        result = report.results[0]
-        reference = run_litmus(entry.parse(), model)
-        assert result.status == reference.status
-        assert result.outcomes == reference.outcomes
-
-    def test_multi_test_corpus_with_sharded_strategy(self, model):
-        entries = [by_name("MP"), by_name("SB")]
-        report = run_corpus(entries, jobs=2, strategy="sharded")
-        assert report.jobs == 2
-        for result in report.results:
-            reference = run_litmus(by_name(result.name).parse(), model)
-            assert result.status == reference.status
-            assert result.outcomes == reference.outcomes
-
-    def test_multi_test_corpus_spends_leftover_budget_intra(self, model):
-        # 2 tests + jobs=4: the plan is (2, 2), so the corpus runs in a
-        # non-daemonic executor whose workers fork 2 frontier shards
-        # each.  Verdicts and outcome sets still match sequential.
-        entries = [by_name("MP"), by_name("SB+syncs")]
-        report = run_corpus(entries, jobs=4, strategy="sharded")
-        assert report.jobs == 2
-        for result in report.results:
-            reference = run_litmus(by_name(result.name).parse(), model)
-            assert result.status == reference.status
-            assert result.outcomes == reference.outcomes
+                jobs = corpus_job_count(budget, test_count)
+                assert 1 <= jobs <= budget, (budget, test_count, jobs)
+                assert jobs <= max(test_count, 1), (budget, test_count, jobs)
 
 
 class TestStrategyResolution:
@@ -371,13 +303,13 @@ class TestStrategyResolution:
         assert isinstance(resolve_strategy(None), SequentialDFS)
 
     def test_resolve_instance_passthrough(self):
-        strategy = ShardedParallel(jobs=3)
+        strategy = BoundedIterative(initial_budget=3)
         assert resolve_strategy(strategy) is strategy
 
     def test_make_by_name_with_options(self):
-        strategy = make_strategy("sharded", jobs=4, shard_depth=5)
-        assert strategy == ShardedParallel(jobs=4, shard_depth=5)
-        assert isinstance(make_strategy("bounded"), BoundedIterative)
+        strategy = make_strategy("bounded", initial_budget=5)
+        assert strategy == BoundedIterative(initial_budget=5)
+        assert isinstance(make_strategy("sequential"), SequentialDFS)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
@@ -385,10 +317,16 @@ class TestStrategyResolution:
         with pytest.raises(TypeError):
             resolve_strategy(42)
 
+    def test_sharded_is_not_a_strategy(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_strategy("sharded")
+        assert "'bounded'" in str(excinfo.value)
+        assert "'sequential'" in str(excinfo.value)
+
     def test_strategies_are_picklable(self):
         import pickle
 
-        for strategy in (SequentialDFS(), ShardedParallel(jobs=2),
+        for strategy in (SequentialDFS(),
                          BoundedIterative(initial_budget=128)):
             clone = pickle.loads(pickle.dumps(strategy))
             assert clone == strategy
@@ -414,7 +352,7 @@ class TestReductionEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [None, ShardedParallel(jobs=2, shard_depth=3), BoundedIterative()],
+        [None, BoundedIterative()],
         ids=lambda s: "sequential" if s is None else s.name,
     )
     def test_strategy_matrix(self, model, strategy):
@@ -468,11 +406,8 @@ class TestDporEquivalence:
 
     ``reduction="dpor"`` must answer every oracle question identically
     to the unreduced reference on the curated corpus and a seed-0
-    generated sample, for both backends that run the real driver
-    (``SequentialDFS`` and ``BoundedIterative``).  ``ShardedParallel``
-    accepts the option but runs its forked pipeline as sleep sets
-    (see ``ShardedParallel._shard_reduction``), so it is checked for
-    acceptance + equivalence, not for dpor state counts.
+    generated sample, for both backends (``SequentialDFS`` and
+    ``BoundedIterative``).
     """
 
     @pytest.mark.parametrize("name", FAST_NAMES)
@@ -487,7 +422,7 @@ class TestDporEquivalence:
 
     @pytest.mark.parametrize(
         "strategy",
-        [None, BoundedIterative(), ShardedParallel(jobs=2, shard_depth=3)],
+        [None, BoundedIterative()],
         ids=lambda s: "sequential" if s is None else s.name,
     )
     def test_strategy_matrix(self, model, strategy):
@@ -866,70 +801,29 @@ class TestContextBound:
         assert bounded.outcomes == full.outcomes
 
 
-class TestStablePartitioning:
-    """Root-to-worker assignment must not depend on PYTHONHASHSEED."""
-
-    _SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.concurrency.search.sharded import _stable_digest
-from repro.isa.model import default_model
-from repro.litmus.library import by_name
-from repro.litmus.runner import build_system
-system, _ = build_system(by_name("MP").parse(), default_model())
-digests = [_stable_digest(system.key())]
-for transition in system.enumerate_transitions():
-    digests.append(_stable_digest(system.apply(transition).key()))
-print(",".join(str(d) for d in digests))
-"""
-
-    def test_digests_identical_across_hash_seeds(self, tmp_path):
-        import subprocess
-        import sys as sys_module
-
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        script = tmp_path / "digest_probe.py"
-        script.write_text(self._SCRIPT.format(src=src))
-        outputs = []
-        for seed in ("0", "12345"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys_module.executable, str(script)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outputs.append(proc.stdout.strip())
-        assert outputs[0] == outputs[1]
-        assert outputs[0]  # non-empty: the probe really ran
-
-
 class TestCliStrategyFlags:
     def _write(self, tmp_path, name):
         path = tmp_path / f"{name}.litmus"
         path.write_text(by_name(name).source)
         return str(path)
 
-    def test_litmus_command_with_sharded(self, tmp_path, capsys):
-        from repro.tools.cli import main
-
-        path = self._write(tmp_path, "MP")
-        assert main(
-            ["litmus", path, "--strategy", "sharded", "--shard-depth", "2",
-             "--jobs", "2"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "MP" in output and "Merged stats:" in output
-
     def test_run_command_with_strategies(self, tmp_path, capsys):
         from repro.tools.cli import main
 
         path = self._write(tmp_path, "MP")
         for extra in (["--strategy", "bounded"],
-                      ["--strategy", "sharded", "--jobs", "2"]):
+                      ["--strategy", "sequential"]):
             assert main(["run", path, *extra]) == 0
             assert "Test MP: Allowed" in capsys.readouterr().out
+
+    def test_run_rejects_sharded_strategy(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        path = self._write(tmp_path, "MP")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", path, "--strategy", "sharded"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
 
     def test_run_command_with_reduction(self, tmp_path, capsys):
         from repro.tools.cli import main

@@ -59,7 +59,7 @@ from repro.litmus.parser import parse_litmus
 from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
-print(cache_key(canonical, strategy="sharded", reduction="sleep",
+print(cache_key(canonical, strategy="bounded", reduction="sleep",
                 context_bound=3, max_states=1000, sail_backend="interp"))
 """
 
@@ -84,7 +84,7 @@ print(cache_key(canonical, strategy="sharded", reduction="sleep",
         base = cache_key(canonical)
         variants = [
             cache_key(_canonical("SB")),
-            cache_key(canonical, strategy="sharded"),
+            cache_key(canonical, strategy="bounded"),
             cache_key(canonical, reduction="sleep"),
             cache_key(canonical, context_bound=2),
             cache_key(canonical, max_states=100),
@@ -370,6 +370,47 @@ class TestDaemonRoundTrip:
         assert message in excinfo.value.payload["error"]
         assert service.query(by_name("MP").source)["status"] == "Allowed"
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"max_states": "500"},
+            {"max_states": 2.5},
+            {"max_states": True},
+            {"max_states": 0},
+            {"context_bound": "2"},
+            {"context_bound": -1},
+            {"reduction": "fast"},
+            {"strategy": "sharded"},
+            {"symmetry": "yes"},
+            {"jobs": 2},
+            {"shard_depth": 3},
+        ],
+        ids=[
+            "max_states-str", "max_states-float", "max_states-bool",
+            "max_states-zero", "context_bound-str", "context_bound-negative",
+            "reduction-unknown", "strategy-sharded", "symmetry-str", "jobs",
+            "shard_depth",
+        ],
+    )
+    def test_bad_option_is_400_before_anything_runs(self, service, options):
+        from repro.service.client import ServiceError
+
+        (option,) = options
+        source = by_name("MP").source
+        before = service.stats()["cache"]["entries"]
+        with pytest.raises(ServiceError) as excinfo:
+            service.query(source, options=options)
+        assert excinfo.value.status == 400
+        assert option in excinfo.value.payload["error"]
+        # A batch is refused at submission, not accepted and failed later.
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(tests=[("MP", source)], options=options)
+        assert excinfo.value.status == 400
+        assert option in excinfo.value.payload["error"]
+        stats = service.stats()
+        assert stats["cache"]["entries"] == before
+        assert stats["jobs"] == {}
+
     def test_internal_error_is_500_and_the_daemon_keeps_serving(
         self, service, monkeypatch
     ):
@@ -495,7 +536,6 @@ class TestPoolShutdown:
         import multiprocessing
 
         from repro.concurrency.parallel import (
-            _PoolHandle,
             _register_pool,
             shutdown_active_pools,
         )
@@ -504,7 +544,7 @@ class TestPoolShutdown:
         pool = context.Pool(processes=1)
         children = list(pool._pool)
         pool.apply_async(time.sleep, (60,))
-        _register_pool(_PoolHandle(pool=pool))
+        _register_pool(pool)
 
         assert shutdown_active_pools() == 1
         deadline = time.monotonic() + 10

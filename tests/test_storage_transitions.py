@@ -9,12 +9,8 @@ replaced, kept verbatim.  Every test here runs searches with *every*
 enumeration compared against it, element for element -- order,
 ``Transition`` equality and label -- because the DFS order, and so every
 work count, follows the list.
-
-Sharded workers are forked processes: there a mismatch raises, and the
-parent reports the worker failure.
 """
 
-import os
 from contextlib import contextmanager
 from typing import List
 
@@ -24,7 +20,6 @@ from repro.concurrency.search import (
     BoundedIterative,
     ExplorationLimit,
     SequentialDFS,
-    ShardedParallel,
 )
 from repro.concurrency.storage import StorageSubsystem
 from repro.concurrency.system import SystemState, Transition
@@ -132,7 +127,6 @@ def comparing_enumerations():
     """
     check = EnumerationCheck()
     original = SystemState.enumerate_transitions
-    parent_pid = os.getpid()
 
     def enumerate_and_compare(self):
         result = original(self)
@@ -144,14 +138,12 @@ def comparing_enumerations():
             a is not b for a, b in zip(tail, derived)
         ):
             check.mismatches += 1
-            if check.mismatches == 1 or os.getpid() != parent_pid:
+            if check.mismatches == 1:
                 check.first = (
                     f"derived  {[t.label for t in derived]}\n"
                     f"expected {[t.label for t in expected]}\n"
                     + self.storage.render()
                 )
-            if os.getpid() != parent_pid:
-                raise AssertionError(check.first)
         return result
 
     SystemState.enumerate_transitions = enumerate_and_compare
@@ -249,14 +241,6 @@ def test_bounded_iterative(compared, model):
     for name in ("MP+syncs", "2+2W+lwsyncs", "ATOM-base"):
         _run(by_name(name).parse(), model, strategy=strategy,
              max_states=2000)
-    compared.assert_clean()
-
-
-def test_sharded(compared, model):
-    strategy = ShardedParallel(jobs=2, shard_depth=3)
-    for name in ("SB+syncs", "R+syncs", "ATOM-intervene"):
-        result = run_litmus(by_name(name).parse(), model, strategy=strategy)
-        assert result.exploration.complete
     compared.assert_clean()
 
 
