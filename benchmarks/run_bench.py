@@ -33,6 +33,13 @@ same trajectory (marked ``"suite": "gen"``).
 ``--strategy`` picks the search backend per test (entries record it
 under ``"strategy"``).
 
+``--suite service`` measures the verdict cache twice on the E6 family:
+in process (one cold ``EnvelopeEngine.run_request``, one warm) and over
+HTTP (an in-process daemon on an ephemeral port and one
+``ServiceClient``: each test queried cold, then ``HTTP_WARM_QUERIES``
+times warm).  It exits non-zero when a warm verdict differs from its
+cold one, or when the HTTP leg used more than one connection.
+
 ``SEED_BASELINE`` holds the seed implementation's numbers measured by the
 same protocol (one warm process, stats from inside ``explore``) on the
 reference container; the E6 pytest benchmark prints a before/after table
@@ -49,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 sys.path.insert(
@@ -171,6 +179,67 @@ def run_service_suite(sail_backend=None):
         )
         if stats["hits"] + stats["misses"]
         else 0.0,
+    }
+    return per_test, total
+
+
+#: Warm queries per E6 test in the service suite's HTTP leg.
+HTTP_WARM_QUERIES = 20
+
+
+def run_service_http_leg(sail_backend=None):
+    """Cold-then-warm latency of the E6 family through a real daemon.
+
+    One ``ServiceClient`` talks to an in-process daemon on an ephemeral
+    port: each test is queried once cold (a miss), then
+    ``HTTP_WARM_QUERIES`` times warm (hits), each hit checked against
+    the cold payload.  Returns per-test {cold_ms, warm_p50_ms} and the
+    total warm p50 with the number of TCP connections the daemon
+    accepted (one, when the client's connection was kept alive).
+    """
+    from repro.litmus.library import by_name
+    from repro.service.client import ServiceClient
+    from repro.service.daemon import ServiceDaemon
+
+    daemon = ServiceDaemon(port=0, sail_backend=sail_backend)
+    thread = threading.Thread(
+        target=daemon.serve_forever,
+        kwargs={"install_signal_handlers": False},
+        daemon=True,
+    )
+    thread.start()
+    host, port = daemon.address
+    per_test, warm_ms = {}, []
+    try:
+        with ServiceClient(url=f"http://{host}:{port}") as client:
+            for name in REPRESENTATIVE:
+                source = by_name(name).source
+                started = time.perf_counter()
+                cold = client.query(source, name=name)
+                cold_ms = (time.perf_counter() - started) * 1e3
+                hits = []
+                for _ in range(HTTP_WARM_QUERIES):
+                    started = time.perf_counter()
+                    warm = client.query(source, name=name)
+                    hits.append((time.perf_counter() - started) * 1e3)
+                    if warm != dict(cold, cached=True):
+                        raise AssertionError(
+                            f"{name}: HTTP warm verdict not a bit-identical "
+                            "cache hit"
+                        )
+                per_test[name] = {
+                    "cold_ms": round(cold_ms, 3),
+                    "warm_p50_ms": round(statistics.median(hits), 3),
+                }
+                warm_ms += hits
+            connections = client.stats()["connections"]
+    finally:
+        daemon.shutdown()
+        thread.join(timeout=10)
+    total = {
+        "warm_queries": len(warm_ms),
+        "warm_p50_ms": round(statistics.median(warm_ms), 3),
+        "connections": connections,
     }
     return per_test, total
 
@@ -445,6 +514,11 @@ def main(argv=None) -> int:
     sail_backend = resolve_sail_backend(args.sail_backend)
     if args.suite == "service":
         per_test, total = run_service_suite(sail_backend=sail_backend)
+        http_per_test, total["http"] = run_service_http_leg(
+            sail_backend=sail_backend
+        )
+        for name, entry in http_per_test.items():
+            per_test[name]["http"] = entry
     else:
         model = IsaModel(sail_backend=sail_backend)
         per_test, total = run_suite(
@@ -495,11 +569,17 @@ def main(argv=None) -> int:
         handle.write("\n")
 
     if args.suite == "service":
+        http = total["http"]
         print(f"Service suite ({len(per_test)} tests): "
               f"cold {total['cold_seconds']:.3f}s, "
               f"warm {total['warm_seconds']:.4f}s "
               f"= {total['speedup']:,}x speedup "
               f"(hit rate {total['cache_hit_rate']:.0%})")
+        in_process_ms = total["warm_seconds"] * 1e3 / len(per_test)
+        print(f"  warm hit: {in_process_ms:.3f} ms in process, "
+              f"p50 {http['warm_p50_ms']:.3f} ms over HTTP "
+              f"({http['warm_queries']} hits, "
+              f"{http['connections']} connection(s))")
     elif args.suite == "e6":
         baseline = trajectory[0]["total"]
         speedup = (
@@ -516,6 +596,11 @@ def main(argv=None) -> int:
               f"{total['transitions']} transitions in {total['seconds']:.2f}s "
               f"= {total['transitions_per_second']:,}/s")
     print(f"trajectory written to {args.output} ({len(trajectory)} entries)")
+    if args.suite == "service" and total["http"]["connections"] != 1:
+        # A count, not a timing: the client must keep its connection.
+        print(f"service HTTP leg used {total['http']['connections']} "
+              "connections, expected 1", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -183,15 +183,19 @@ class VerdictCache:
             ).fetchone()
         return row is not None
 
-    def stats(self) -> Dict[str, Any]:
+    def entries(self) -> Optional[int]:
+        """The number of stored rows, or ``None`` (counted in ``errors``)
+        when sqlite cannot count them."""
         try:
-            entries: Optional[int] = len(self)
+            return len(self)
         except sqlite3.DatabaseError:
-            entries = None
             self.errors += 1
+            return None
+
+    def stats(self) -> Dict[str, Any]:
         return {
             "path": self.path,
-            "entries": entries,
+            "entries": self.entries(),
             "hits": self.hits,
             "misses": self.misses,
             "errors": self.errors,

@@ -1,6 +1,6 @@
 """HTTP client for the ``ppcmem2 serve`` daemon.
 
-``ServiceClient`` wraps the small JSON protocol (stdlib ``urllib``
+``ServiceClient`` wraps the small JSON protocol (stdlib ``http.client``
 only), and is what ``ppcmem2 client`` drives so the familiar CLI verbs
 can run against a warm daemon instead of paying cold-start exploration:
 
@@ -8,17 +8,37 @@ can run against a warm daemon instead of paying cold-start exploration:
     ppcmem2 client run TEST.litmus        # synchronous, cache-backed
     ppcmem2 client submit suite/*.litmus --wait
     ppcmem2 client stats
+
+Each calling thread keeps one persistent HTTP/1.1 connection to the
+daemon and sends all of its requests on it, so a cache hit costs one
+round trip rather than a TCP handshake and a fresh handler thread.
+Threads sharing a client query concurrently, each on its own
+connection.  When the daemon has closed an idle connection, the next
+request on it fails before any response byte arrives; that request is
+resent once on a new connection (the daemon answers every request it
+reads, so it never saw this one).  ``close()`` (or leaving a ``with``
+block) closes every connection; a later request reconnects.  Proxy
+environment variables are not consulted.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 from .daemon import DEFAULT_HOST, DEFAULT_PORT
+
+#: How a *reused* connection fails when the daemon closed it while it
+#: was idle: the request is resent once on a new connection.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
 
 
 class ServiceError(RuntimeError):
@@ -40,8 +60,48 @@ class ServiceClient:
     ):
         self.base_url = (url or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}").rstrip("/")
         self.timeout = timeout
+        self._local = threading.local()
+        #: Every thread's connection, for ``close``.
+        self._connections: "weakref.WeakSet[http.client.HTTPConnection]" = (
+            weakref.WeakSet()
+        )
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection (call with no request in flight)."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
     # ------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, created on first use."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            parts = urlsplit(self.base_url)
+            if parts.scheme not in ("http", "https"):
+                raise ValueError(f"unsupported service URL {self.base_url!r}")
+            factory = (
+                http.client.HTTPSConnection
+                if parts.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            connection = factory(
+                parts.hostname, parts.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+            self._local.prefix = parts.path
+            with self._lock:
+                self._connections.add(connection)
+        return connection
 
     def _request(
         self,
@@ -49,23 +109,45 @@ class ServiceClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, headers=headers, method=method
-        )
+        connection = self._connection()
+        target = self._local.prefix + path
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            # A closed connection (new, or dropped after a response
+            # marked ``Connection: close``) has no socket; sending on it
+            # opens a fresh one.
+            reused = connection.sock is not None
             try:
-                body = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, json.JSONDecodeError):
-                body = {"error": str(exc)}
-            raise ServiceError(exc.code, body) from None
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            status, data = response.status, response.read()
+        except OSError:
+            connection.close()
+            raise
+        except http.client.HTTPException as exc:
+            # Not an ``OSError``: wrap it so every transport failure is one.
+            connection.close()
+            raise urllib.error.URLError(exc) from exc
+        if status >= 400:
+            text = data.decode("utf-8", "replace")
+            try:
+                error = json.loads(text)
+            except ValueError:
+                error = None
+            if not isinstance(error, dict):
+                error = {"error": text.strip() or response.reason}
+            raise ServiceError(status, error)
+        return json.loads(data.decode("utf-8"))
 
     # ------------------------------------------------------------------
 

@@ -14,12 +14,23 @@ front of one ``EnvelopeEngine`` with a persistent ``VerdictCache``:
   returns in microseconds -- the "millionth user asking about MP+syncs"
   path);
 * ``GET /v1/health`` / ``GET /v1/stats`` report liveness, cache
-  hit/miss counters and queue depths.
+  hit/miss counters, queue depths and the number of TCP connections
+  accepted.
+
+Connections are persistent (HTTP/1.1 keep-alive): one handler thread
+serves every request a client sends on its connection, with Nagle's
+algorithm off so a response's two writes leave at once instead of the
+second waiting on the client's delayed ACK.  A connection idle for
+``IDLE_TIMEOUT_S`` is closed.  A request carrying ``Transfer-Encoding``
+is refused with 411 and the connection closed, since the daemon reads
+bodies by ``Content-Length`` only.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the HTTP loop, drain-stop the
 scheduler, and terminate-and-join any in-flight corpus worker pools via
 ``concurrency.parallel.shutdown_active_pools`` -- the same handler that
-keeps Ctrl-C from leaking exploration children at the CLI.
+keeps Ctrl-C from leaking exploration children at the CLI.  A request
+that arrives on a kept-alive connection once shutdown has begun is
+answered 503 and its connection closed.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..isa.assembler import AssemblerError
 from ..litmus.parser import LitmusSyntaxError
@@ -47,6 +58,11 @@ DEFAULT_PORT = 8765
 
 #: Largest request body the daemon reads; longer ones get 413 unread.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may wait for its next request (or stall inside
+#: one) before the daemon closes it, so a client that goes quiet cannot
+#: pin a handler thread forever.
+IDLE_TIMEOUT_S = 60
 
 #: Finished (done or failed) jobs kept for polling.  Past this the oldest
 #: finished job is dropped and its id answers 404; queued and running
@@ -117,6 +133,9 @@ class ServiceDaemon:
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._job_counter = 0
         self._stop = threading.Event()
+        self._stop_lock = threading.Lock()
+        #: Set once ``shutdown`` has finished (a repeat call waits on it).
+        self._stopped = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
         self._server = _Server((host, port), _Handler)
         self._server.daemon_ref = self
@@ -129,6 +148,11 @@ class ServiceDaemon:
     def address(self):
         """The bound (host, port) -- port is resolved when 0 was asked."""
         return self._server.server_address[:2]
+
+    @property
+    def stopping(self) -> bool:
+        """True once ``shutdown`` has begun."""
+        return self._stop.is_set()
 
     def start_scheduler(self) -> None:
         self._scheduler = threading.Thread(
@@ -154,18 +178,27 @@ class ServiceDaemon:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Stop the HTTP loop, the scheduler, and any worker children."""
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        self._server.shutdown()
-        self._server.server_close()
-        if self._scheduler is not None and self._scheduler.is_alive():
-            self._scheduler.join(timeout=10)
-        from ..concurrency.parallel import shutdown_active_pools
+        """Stop the HTTP loop, the scheduler, and any worker children.
 
-        shutdown_active_pools()
-        self.cache.close()
+        Safe whether or not the HTTP loop ever ran; a repeat call returns
+        once the first has finished.
+        """
+        with self._stop_lock:
+            first = not self._stop.is_set()
+            self._stop.set()
+        if not first:
+            self._stopped.wait()
+            return
+        try:
+            self._server.stop()
+            if self._scheduler is not None and self._scheduler.is_alive():
+                self._scheduler.join(timeout=10)
+            from ..concurrency.parallel import shutdown_active_pools
+
+            shutdown_active_pools()
+            self.cache.close()
+        finally:
+            self._stopped.set()
 
     # ------------------------------------------------------------------
     # Job queue
@@ -288,6 +321,7 @@ class ServiceDaemon:
             "queue_depth": self._queue.qsize(),
             "worker_budget": self.worker_budget,
             "sail_backend": self.engine.sail_backend,
+            "connections": self._server.connections,
         }
 
 
@@ -295,6 +329,44 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     daemon_ref: Optional[ServiceDaemon] = None
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        #: TCP connections accepted since start.
+        self.connections = 0
+        self._loop_lock = threading.Lock()
+        self._loop_running = False
+        self._closing = False
+
+    def process_request(self, request, client_address):
+        # Called on the loop's thread only, one accepted connection each.
+        self.connections += 1
+        super().process_request(request, client_address)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._loop_lock:
+            if self._closing:
+                return
+            self._loop_running = True
+        try:
+            super().serve_forever(poll_interval)
+        finally:
+            with self._loop_lock:
+                self._loop_running = False
+
+    def stop(self) -> None:
+        """Stop the loop if it is running, then close the listening socket.
+
+        ``shutdown`` alone waits for ``serve_forever`` to acknowledge it,
+        forever when the loop never ran.  Handler threads of kept-alive
+        connections are left to answer 503 (see ``_Handler``).
+        """
+        with self._loop_lock:
+            self._closing = True
+            running = self._loop_running
+        if running:
+            self.shutdown()
+        self.server_close()
 
 
 class _BadLength(Exception):
@@ -307,8 +379,14 @@ class _BadLength(Exception):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A response goes out as two writes (headers, body).  With Nagle's
+    # algorithm on, the second waits for the client's delayed ACK of the
+    # first on a kept-alive connection: ~40 ms per request.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # Quiet by default: the daemon logs submissions, not every poll.
+    # (This also keeps an idle connection's timeout out of stderr.)
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
@@ -347,42 +425,65 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b"{}"
         return json.loads(raw.decode("utf-8"))
 
+    def _parts(self) -> List[str]:
+        return [p for p in self.path.split("?")[0].split("/") if p]
+
     # ------------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if parts == ["v1", "health"]:
+    def parse_request(self) -> bool:
+        """Read the request line and headers, then refuse what is not served.
+
+        Both refusals close the connection and leave any body unread:
+
+        * once shutdown has begun, 503 -- the request never reaches the
+          engine or the closed cache;
+        * a ``Transfer-Encoding`` body, 411 -- bodies are read by
+          ``Content-Length``, so its chunks would stay on the connection
+          and be parsed as the next request.
+        """
+        if not super().parse_request():
+            return False
+        if self.daemon.stopping:
+            self._send(503, {"error": "daemon shutting down"}, close=True)
+            return False
+        if "Transfer-Encoding" in self.headers:
             self._send(
-                200,
-                {
-                    "ok": True,
-                    "schema": SCHEMA_VERSION,
-                    "cache_entries": len(self.daemon.cache),
-                },
+                411,
+                {"error": "Transfer-Encoding is not supported; "
+                          "send a Content-Length"},
+                close=True,
             )
-            return
+            return False
+        return True
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        try:
+            code, payload = self._get()
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            code, payload = _internal_error(exc)
+        self._send(code, payload)
+
+    def _get(self) -> Tuple[int, Dict[str, Any]]:
+        parts = self._parts()
+        if parts == ["v1", "health"]:
+            return 200, {
+                "ok": True,
+                "schema": SCHEMA_VERSION,
+                "cache_entries": self.daemon.cache.entries(),
+            }
         if parts == ["v1", "stats"]:
-            self._send(200, self.daemon.stats())
-            return
+            return 200, self.daemon.stats()
         if len(parts) >= 3 and parts[:2] == ["v1", "jobs"]:
             job = self.daemon.job(parts[2])
             if job is None:
-                self._send(404, {"error": f"no such job {parts[2]!r}"})
-                return
+                return 404, {"error": f"no such job {parts[2]!r}"}
             if len(parts) == 3:
-                self._send(200, job.summary())
-                return
+                return 200, job.summary()
             if parts[3] == "results":
                 if job.state != "done":
-                    self._send(
-                        409, dict(job.summary(), error="job not done")
-                    )
-                    return
-                self._send(
-                    200, dict(job.summary(), verdicts=job.verdicts)
-                )
-                return
-        self._send(404, {"error": f"unknown path {self.path!r}"})
+                    return 409, dict(job.summary(), error="job not done")
+                return 200, dict(job.summary(), verdicts=job.verdicts)
+        return 404, {"error": f"unknown path {self.path!r}"}
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
@@ -394,23 +495,27 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": f"bad JSON body: {exc}"})
             return
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
         try:
-            if parts == ["v1", "jobs"]:
-                job = self.daemon.submit(body)
-                self._send(202, job.summary())
-                return
-            if parts == ["v1", "query"]:
-                self._send(200, self.daemon.query(body))
-                return
+            code, payload = self._post(body)
         except INPUT_ERRORS as exc:
-            self._send(400, {"error": str(exc)})
-            return
+            code, payload = 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - reported to the client
-            traceback.print_exc(file=sys.stderr)
-            self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
-            return
-        self._send(404, {"error": f"unknown path {self.path!r}"})
+            code, payload = _internal_error(exc)
+        self._send(code, payload)
+
+    def _post(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        parts = self._parts()
+        if parts == ["v1", "jobs"]:
+            return 202, self.daemon.submit(body).summary()
+        if parts == ["v1", "query"]:
+            return 200, self.daemon.query(body)
+        return 404, {"error": f"unknown path {self.path!r}"}
+
+
+def _internal_error(exc: Exception) -> Tuple[int, Dict[str, Any]]:
+    """The 500 answer to an unexpected exception (traceback to stderr)."""
+    traceback.print_exc(file=sys.stderr)
+    return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def serve(

@@ -597,13 +597,15 @@ def _cmd_client(args) -> int:
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConnectionError, OSError) as exc:
+    except OSError as exc:
         print(
             f"error: cannot reach daemon at {client.base_url}: {exc} "
             f"(start one with `ppcmem2 serve`)",
             file=sys.stderr,
         )
         return 1
+    finally:
+        client.close()
     return 2
 
 

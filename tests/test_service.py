@@ -8,9 +8,12 @@ round-trip over real HTTP and the terminate-and-join pool cleanup the
 daemon's SIGTERM path relies on.
 """
 
+import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -45,6 +48,46 @@ def _comparable(payload):
     exactly.
     """
     return {k: v for k, v in payload.items() if k != "stats"}
+
+
+def _read_to_eof(sock):
+    """Every byte the peer sends until it closes the connection."""
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return received
+        received += chunk
+
+
+def _url(daemon):
+    host, port = daemon.address
+    return f"http://{host}:{port}"
+
+
+def _serve_in_thread(daemon):
+    """Run ``daemon`` (scheduler and HTTP loop) until it is shut down."""
+    thread = threading.Thread(
+        target=daemon.serve_forever,
+        kwargs={"install_signal_handlers": False},
+        daemon=True,
+    )
+    thread.start()
+    return thread
+
+
+@pytest.fixture()
+def running_daemon():
+    """A daemon serving HTTP on an ephemeral port, shut down afterwards."""
+    from repro.service.daemon import ServiceDaemon
+
+    daemon = ServiceDaemon(port=0)
+    thread = _serve_in_thread(daemon)
+    try:
+        yield daemon
+    finally:
+        daemon.shutdown()
+        thread.join(timeout=10)
 
 
 class TestCacheKey:
@@ -478,6 +521,205 @@ class TestDaemonRoundTrip:
             service, str(len(body)), body
         )
         assert status == 400  # read and parsed: no "source" field
+
+    def test_chunked_body_is_411_and_closes_the_connection(self, service):
+        from urllib.parse import urlsplit
+
+        # Read as a zero-length body, this used to answer 400 and then
+        # parse the chunk-size line as a second request.
+        body = b'{"source": "garbage"}'
+        address = urlsplit(service.base_url)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            )
+            received = _read_to_eof(sock)
+        assert received.count(b"HTTP/1.") == 1
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"\r\nConnection: close" in head
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+        assert service.health()["ok"]
+
+    def test_health_reports_an_uncountable_cache_as_null(
+        self, service, monkeypatch
+    ):
+        import sqlite3
+
+        def broken(self):
+            raise sqlite3.DatabaseError("database disk image is malformed")
+
+        # This used to escape do_GET and drop the connection unanswered.
+        monkeypatch.setattr(VerdictCache, "__len__", broken)
+        health = service.health()
+        assert health["ok"] and health["cache_entries"] is None
+        cache = service.stats()["cache"]
+        assert cache["entries"] is None
+        assert cache["errors"] == 2  # the health count, then the stats one
+
+    def test_get_handler_error_is_500_and_the_connection_survives(
+        self, service, monkeypatch
+    ):
+        from repro.service.client import ServiceError
+        from repro.service.daemon import ServiceDaemon
+
+        def explode(self):
+            raise RuntimeError("stats crashed")
+
+        monkeypatch.setattr(ServiceDaemon, "stats", explode)
+        with pytest.raises(ServiceError) as excinfo:
+            service.stats()
+        assert excinfo.value.status == 500
+        assert excinfo.value.payload == {"error": "RuntimeError: stats crashed"}
+        monkeypatch.undo()
+        assert service.health()["ok"]
+        assert service.stats()["connections"] == 1
+
+
+class TestPersistentConnections:
+    """Each client thread keeps one connection; the daemon keeps it open."""
+
+    SOURCE = by_name("MP").source
+
+    def test_one_connection_serves_every_query(self, running_daemon):
+        from repro.service.client import ServiceClient
+
+        url = _url(running_daemon)
+        before = running_daemon.stats()["connections"]
+        with ServiceClient(url) as client:
+            payloads = [client.query(self.SOURCE, name="MP") for _ in range(40)]
+            assert client.stats()["connections"] == before + 1
+        assert not payloads[0]["cached"]
+        assert all(payload["cached"] for payload in payloads[1:])
+        miss = dict(payloads[0], cached=True)
+        for _ in range(3):
+            with ServiceClient(url) as fresh:
+                assert fresh.query(self.SOURCE, name="MP") == miss
+        assert all(payload == miss for payload in payloads[1:])
+        assert running_daemon.stats()["connections"] == before + 4
+
+    def test_hits_do_not_wait_for_delayed_acks(self, running_daemon):
+        from repro.service.client import ServiceClient
+
+        with ServiceClient(_url(running_daemon)) as client:
+            client.query(self.SOURCE)  # the miss, on the kept connection
+            started = time.perf_counter()
+            for _ in range(30):
+                assert client.query(self.SOURCE)["cached"]
+            elapsed = time.perf_counter() - started
+        # With Nagle's algorithm on, each response's body waits ~40 ms
+        # for the client's delayed ACK of its headers: >= 1.2 s here.
+        assert elapsed < 0.6, f"30 cache hits took {elapsed:.3f}s"
+
+    def test_idle_connection_closed_by_the_daemon_is_replaced(
+        self, running_daemon, monkeypatch
+    ):
+        from repro.service.client import ServiceClient
+        from repro.service.daemon import _Handler
+
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with ServiceClient(_url(running_daemon)) as client:
+            assert not client.query(self.SOURCE)["cached"]
+            before = running_daemon.stats()["connections"]
+            time.sleep(0.5)  # the daemon closes the idle connection
+            assert client.query(self.SOURCE)["cached"]
+            assert running_daemon.stats()["connections"] == before + 1
+            time.sleep(0.5)
+            job = client.submit(tests=[("MP", self.SOURCE)])["job"]
+            assert running_daemon.stats()["connections"] == before + 2
+            assert client.wait(job, timeout=300)["cache_hits"] == 1
+        # The resent submission was queued once.
+        assert running_daemon.job_counts() == {"done": 1}
+
+    def test_threads_sharing_a_client_query_concurrently(self, running_daemon):
+        from repro.service.client import ServiceClient
+
+        names = ["MP", "SB", "LB", "MP+syncs"]
+        statuses, errors = {}, []
+        before = running_daemon.stats()["connections"]
+        with ServiceClient(_url(running_daemon)) as client:
+
+            def ask(offset):
+                try:
+                    for name in names[offset:] + names[:offset]:
+                        payload = client.query(by_name(name).source, name=name)
+                        statuses[offset, name] = payload["status"]
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=ask, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        assert errors == []
+        assert statuses == {
+            (offset, name): by_name(name).architected
+            for offset in range(4)
+            for name in names
+        }
+        # One connection per thread.
+        assert running_daemon.stats()["connections"] == before + 4
+
+    def test_unreachable_daemon_is_an_os_error(self, capsys):
+        from repro.service.client import ServiceClient
+        from repro.tools.cli import main
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}"
+        with pytest.raises(OSError):
+            ServiceClient(url).health()
+        assert main(["client", "--url", url, "health"]) == 1
+        assert "cannot reach daemon" in capsys.readouterr().err
+
+    def test_request_after_shutdown_is_503_and_never_runs(self, capsys):
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.daemon import ServiceDaemon
+
+        daemon = ServiceDaemon(port=0)
+        thread = _serve_in_thread(daemon)
+        ran = []
+        run_request = daemon.engine.run_request
+
+        def recording(request):
+            ran.append(request)
+            return run_request(request)
+
+        daemon.engine.run_request = recording
+        with ServiceClient(_url(daemon)) as client:
+            assert client.query(self.SOURCE)["status"] == "Allowed"
+            daemon.shutdown()
+            thread.join(timeout=10)
+            # The kept-alive connection outlives the HTTP loop.
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(self.SOURCE)
+        assert excinfo.value.status == 503
+        assert excinfo.value.payload == {"error": "daemon shutting down"}
+        assert len(ran) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestShutdownWithoutHttpLoop:
+    def test_shutdown_returns_when_the_loop_never_ran(self):
+        from repro.service.daemon import ServiceDaemon
+
+        # ``socketserver`` used to wait forever for a loop to stop.
+        daemon = ServiceDaemon(port=0)
+        for _ in range(2):
+            call = threading.Thread(target=daemon.shutdown, daemon=True)
+            call.start()
+            call.join(timeout=5)
+            assert not call.is_alive()
 
 
 class TestJobEviction:
