@@ -11,8 +11,7 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH] [--label L]
         [--suite e6|gen|gen-wide|service]
         [--strategy sequential|bounded]
-        [--reduction none|sleep|dpor] [--symmetry] [--context-bound N]
-        [--sail-backend compiled|interp]
+        [--reduction none|sleep|dpor] [--context-bound N]
     python benchmarks/run_bench.py --paired REF --workload W --seed S
         [--pairs N] [--seconds T]
 
@@ -127,7 +126,7 @@ def _suite_tests(suite):
     ]
 
 
-def run_service_suite(sail_backend=None):
+def run_service_suite():
     """Cold-vs-warm latency of the service engine on the E6 family.
 
     Cold: a fresh exploration through ``EnvelopeEngine.run_request``
@@ -142,7 +141,7 @@ def run_service_suite(sail_backend=None):
     from repro.service import EngineRequest, EnvelopeEngine, VerdictCache
 
     cache = VerdictCache()
-    engine = EnvelopeEngine(cache=cache, sail_backend=sail_backend)
+    engine = EnvelopeEngine(cache=cache)
     per_test = {}
     total_cold = total_warm = 0.0
     for name in REPRESENTATIVE:
@@ -187,7 +186,7 @@ def run_service_suite(sail_backend=None):
 HTTP_WARM_QUERIES = 20
 
 
-def run_service_http_leg(sail_backend=None):
+def run_service_http_leg():
     """Cold-then-warm latency of the E6 family through a real daemon.
 
     One ``ServiceClient`` talks to an in-process daemon on an ephemeral
@@ -201,7 +200,7 @@ def run_service_http_leg(sail_backend=None):
     from repro.service.client import ServiceClient
     from repro.service.daemon import ServiceDaemon
 
-    daemon = ServiceDaemon(port=0, sail_backend=sail_backend)
+    daemon = ServiceDaemon(port=0)
     thread = threading.Thread(
         target=daemon.serve_forever,
         kwargs={"install_signal_handlers": False},
@@ -457,19 +456,6 @@ def main(argv=None) -> int:
         default=None,
         help="context-switch bound (sound under-approximation)",
     )
-    parser.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="with --reduction dpor: canonicalise states modulo "
-        "detected thread symmetry",
-    )
-    parser.add_argument(
-        "--sail-backend",
-        choices=("compiled", "interp"),
-        default=None,
-        help="Sail execution backend for the ISA model (default: the "
-        "model's resolved default, PPCMEM2_SAIL_BACKEND env or 'compiled')",
-    )
     paired = parser.add_argument_group(
         "paired protocol (see the module docstring)"
     )
@@ -499,28 +485,22 @@ def main(argv=None) -> int:
         args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
-        symmetry=args.symmetry,
     )
     strategy_record = {"name": args.strategy}
     if args.reduction != "none":
         strategy_record["reduction"] = args.reduction
     if args.context_bound is not None:
         strategy_record["context_bound"] = args.context_bound
-    if args.symmetry:
-        strategy_record["symmetry"] = True
 
-    from repro.isa.model import IsaModel, resolve_sail_backend
+    from repro.isa.model import IsaModel
 
-    sail_backend = resolve_sail_backend(args.sail_backend)
     if args.suite == "service":
-        per_test, total = run_service_suite(sail_backend=sail_backend)
-        http_per_test, total["http"] = run_service_http_leg(
-            sail_backend=sail_backend
-        )
+        per_test, total = run_service_suite()
+        http_per_test, total["http"] = run_service_http_leg()
         for name, entry in http_per_test.items():
             per_test[name]["http"] = entry
     else:
-        model = IsaModel(sail_backend=sail_backend)
+        model = IsaModel()
         per_test, total = run_suite(
             model=model,
             suite=args.suite,
@@ -557,7 +537,6 @@ def main(argv=None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "suite": args.suite,
         "strategy": strategy_record,
-        "sail_backend": sail_backend,
         # Usable cores when the entry was recorded.
         "cpus": cpus,
         "per_test": per_test,

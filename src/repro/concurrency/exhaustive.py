@@ -41,7 +41,6 @@ def explore(
     strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> ExplorationResult:
     """Exhaustively enumerate all reachable final states.
 
@@ -51,11 +50,10 @@ def explore(
     ``reduction``/``context_bound`` apply the partial-order reduction
     options to it (``"sleep"`` preserves the outcome envelope, a context
     bound may truncate it -- reported via ``ExplorationResult.complete``;
-    ``"dpor"`` layers source sets and canonical state keys on top, and
-    ``symmetry=True`` additionally folds permutation-equivalent threads).
+    ``"dpor"`` layers source sets and canonical state keys on top).
     """
     return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound, symmetry
+        resolve_strategy(strategy), reduction, context_bound
     ).explore(
         initial,
         memory_cells=memory_cells,
@@ -72,7 +70,6 @@ def find_witness(
     strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> Optional[Witness]:
     """Search for one execution whose outcome satisfies ``predicate``.
 
@@ -81,13 +78,12 @@ def find_witness(
     witnessing execution found, or None if the predicate is unsatisfiable.
     The trace is the abstract-machine run behind the outcome -- the
     executable counterpart of the paper's execution diagrams.
-    ``reduction``/``context_bound``/``symmetry`` behave as in
-    ``explore`` (a context-truncated witness search raises instead of
-    returning an unsupported ``None``; witness searches run ``dpor`` as
-    sleep sets so the returned trace is a concrete execution).
+    ``reduction``/``context_bound`` behave as in ``explore`` (a
+    context-truncated witness search raises instead of returning an
+    unsupported ``None``; witness searches run ``dpor`` as sleep sets).
     """
     return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound, symmetry
+        resolve_strategy(strategy), reduction, context_bound
     ).find_witness(
         initial,
         predicate,

@@ -18,7 +18,7 @@ by identity as well.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class CachedKey:
@@ -54,27 +54,6 @@ class CachedKey:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CachedKey({self.value!r})"
-
-
-def orbit_representative(candidates) -> Tuple["CachedKey", int]:
-    """The sorted orbit representative of a list of encodings.
-
-    ``candidates`` holds one structural encoding of a state per group
-    element (see ``symmetry.CanonicalKeys``); the representative is the
-    minimum, wrapped as a ``CachedKey``, plus the index of the element
-    that realised it.  Encodings are type-stable nested tuples so plain
-    tuple comparison works; a defensive fallback orders by ``repr`` if
-    an exotic value ever slips in (still a total, deterministic order,
-    so still a sound canonicalisation).
-    """
-    best = 0
-    try:
-        for index in range(1, len(candidates)):
-            if candidates[index] < candidates[best]:
-                best = index
-    except TypeError:  # pragma: no cover - defensive
-        best = min(range(len(candidates)), key=lambda i: repr(candidates[i]))
-    return CachedKey(candidates[best]), best
 
 
 #: Bounded intern table: CachedKey -> the canonical (first-seen) CachedKey.

@@ -15,10 +15,9 @@ Every backend accepts ``reduction``/``context_bound`` (see
 envelope while pruning commuting interleavings; a context bound trades
 completeness (reported via ``ExplorationResult.complete``) for a
 drastically smaller search.  ``reduction="dpor"`` (see ``dpor``) layers
-source sets and a canonical state-key quotient on top of sleep sets,
-and ``symmetry=True`` additionally folds permutation-equivalent threads
-into orbit representatives.  Parallelism lives one level up: the corpus
-runner (``concurrency.parallel``) runs one test per worker process.
+source sets and a canonical state-key quotient on top of sleep sets.
+Parallelism lives one level up: the corpus runner
+(``concurrency.parallel``) runs one test per worker process.
 
 ``resolve_strategy`` turns ``None`` / a name / an instance into a
 strategy; ``make_strategy`` builds one by name with tuning options (the
@@ -61,7 +60,6 @@ def make_strategy(
     initial_budget: Optional[int] = None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """Build a strategy by registry name, applying only relevant options."""
     try:
@@ -71,11 +69,7 @@ def make_strategy(
             f"unknown search strategy {name!r} "
             f"(choose from {sorted(STRATEGIES)})"
         ) from None
-    options = {
-        "reduction": reduction,
-        "context_bound": context_bound,
-        "symmetry": symmetry,
-    }
+    options = {"reduction": reduction, "context_bound": context_bound}
     if cls is BoundedIterative and initial_budget is not None:
         options["initial_budget"] = initial_budget
     return cls(**options)
@@ -85,22 +79,18 @@ def apply_reduction(
     strategy: SearchStrategy,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """A copy of ``strategy`` with the pruning options applied.
 
-    Every registered backend carries the three fields, so this is a
-    plain ``dataclasses.replace``; no-op when all options are defaults
-    (so callers can thread them unconditionally without disturbing
+    Every registered backend carries both fields, so this is a plain
+    ``dataclasses.replace``; no-op when both options are defaults (so
+    callers can thread them unconditionally without disturbing
     explicitly pre-configured strategy instances).
     """
-    if reduction == "none" and context_bound is None and not symmetry:
+    if reduction == "none" and context_bound is None:
         return strategy
     return dataclasses.replace(
-        strategy,
-        reduction=reduction,
-        context_bound=context_bound,
-        symmetry=symmetry,
+        strategy, reduction=reduction, context_bound=context_bound
     )
 
 
@@ -119,22 +109,19 @@ def build_strategy(
     spec=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> SearchStrategy:
     """One-stop strategy construction shared by every query entry point.
 
     Accepts whatever the caller has -- ``None``, a registry name, or a
     pre-built ``SearchStrategy`` -- and applies the common tuning
-    options uniformly: ``reduction``/``context_bound``/``symmetry``
-    rebuild any backend with the pruning options.  This replaces the
+    options uniformly: ``reduction``/``context_bound`` rebuild any
+    backend with the pruning options.  This replaces the
     ``apply_reduction(resolve_strategy(...))`` combinations that used to
     be spelled out separately in the CLI, the litmus runner, and the
     testgen harness; the service engine keys its verdict cache off the
     instance this returns.
     """
-    return apply_reduction(
-        resolve_strategy(spec), reduction, context_bound, symmetry
-    )
+    return apply_reduction(resolve_strategy(spec), reduction, context_bound)
 
 
 __all__ = [

@@ -47,8 +47,8 @@ from .core import (
     extend_trace,
     run_search,
 )
-from .dpor import prepare_dpor
 from .reduction import make_reducer
+from ..symmetry import CanonicalKeys
 from ..system import SystemState
 
 
@@ -60,9 +60,6 @@ class BoundedIterative(SearchStrategy):
     growth: int = 4
     reduction: str = "none"
     context_bound: Optional[int] = None
-    #: With ``reduction="dpor"``: also canonicalise state keys modulo
-    #: detected thread symmetry.  See ``SequentialDFS.symmetry``.
-    symmetry: bool = False
 
     name = "bounded"
 
@@ -85,18 +82,14 @@ class BoundedIterative(SearchStrategy):
         cells = tuple(memory_cells)
         work = ExplorationStats()
         static_cache = {}
+        canon = None
         dpor = make_reducer(self.reduction, self.context_bound)
-        dpor = dpor is not None and dpor.dpor
-        if dpor:
-            # One canonicaliser for every deepening iteration: symmetry
-            # detection runs once and the key memo tables carry over
-            # (each iteration re-walks a superset of its predecessor's
-            # states).  The per-search seen map stays per-iteration.
-            canon, cells, finish = prepare_dpor(
-                initial, self.symmetry, cells, collect_deadlocks
-            )
-        else:
-            canon, finish = None, None
+        if dpor is not None and dpor.dpor:
+            # One canonicaliser for every deepening iteration: its key
+            # memo table carries over (each iteration re-walks a
+            # superset of its predecessor's states).  The per-search
+            # seen map stays per-iteration.
+            canon = CanonicalKeys(initial)
         started = time.perf_counter()
         for budget in self._budgets(limit):
             stats = ExplorationStats()
@@ -125,9 +118,7 @@ class BoundedIterative(SearchStrategy):
             work.unique_states = len(seen)
             work.seconds = time.perf_counter() - started
             return ExplorationResult(
-                visitor.outcomes if finish is None else finish(
-                    visitor.outcomes
-                ),
+                visitor.outcomes,
                 work,
                 visitor.deadlock_states,
                 complete=reducer is None or not reducer.truncated,
@@ -137,7 +128,7 @@ class BoundedIterative(SearchStrategy):
         # outcome set instead of raising mid-search.
         work.seconds = time.perf_counter() - started
         return ExplorationResult(
-            partial.outcomes if finish is None else finish(partial.outcomes),
+            partial.outcomes,
             work,
             partial.deadlock_states,
             complete=False,

@@ -6,13 +6,10 @@ on the current path) combining three layers:
 
 1. **Canonical seen keys** (``symmetry.CanonicalKeys``): states are
    deduplicated modulo the commuting normal form of their propagation
-   lists and, when the test is thread-symmetric, modulo the symmetry
-   group's orbit.  ``reduction.py`` establishes that normal-form-equal
-   states are observationally equivalent with *identical* enabled
-   transition sets, and orbit-equal states are isomorphic under the
-   group element's renaming -- so merging them (and translating the
-   per-state bookkeeping through the arrival's group element) preserves
-   the outcome envelope.
+   lists.  ``reduction.py`` establishes that normal-form-equal states
+   are observationally equivalent with *identical* enabled transition
+   sets, so merging them (and sharing their per-state bookkeeping)
+   preserves the outcome envelope.
 
 2. **Sleep sets** exactly as the ``--reduction sleep`` loop: after
    exploring ``t``, independent siblings (the fine state-conditional
@@ -39,16 +36,16 @@ on the current path) combining three layers:
    (backtrack := every awake transition), which trivially contains any
    source set.
 
-Revisits are *stateful*: a seen entry stores the canonical encodings of
-the transitions already explored from the state plus a **blob** summary
-(thread ids, touched cells, list-append targets, barrier targets and
-may-complete sync origins, global-kind flag) of every step in its
-covered subtree.  An arrival whose awake set is covered is pruned; a
-partially-covered arrival resumes a frame over the difference.  Either
-way the stored blob is translated into path coordinates, replayed
-against every frame on the path (saturating the dependent ones -- the
-aggregate stands in for per-step race replay, trading precision for
-per-arrival cost), and merged into the parent's accumulating blob.
+Revisits are *stateful*: a seen entry stores the transitions already
+explored from the state plus a **blob** summary (thread ids, touched
+cells, list-append targets, barrier targets and may-complete sync
+origins, global-kind flag) of every step in its covered subtree.  An
+arrival whose awake set is covered is pruned; a partially-covered
+arrival resumes a frame over the difference.  Either way the stored
+blob is replayed against every frame on the path (saturating the
+dependent ones -- the aggregate stands in for per-step race replay,
+trading precision for per-arrival cost) and merged into the parent's
+accumulating blob.
 Entries are final whenever consulted: a frame for key ``K`` on the
 stack means the current state descends from ``K``, so a second arrival
 at ``K`` would close a cycle -- impossible in the DAG of states.
@@ -63,13 +60,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, List, Optional
 
-from ..symmetry import (
-    OUT_OF_CELLS,
-    CanonicalKeys,
-    SymElem,
-    close_outcomes,
-    detect_symmetry,
-)
+from ..symmetry import OUT_OF_CELLS, CanonicalKeys
 from ..events import INITIAL_TID
 from ..system import SystemState, Transition
 from ..thread import ModelError
@@ -81,47 +72,6 @@ from .reduction import (
     Reducer,
 )
 
-
-def prepare_dpor(
-    initial: SystemState,
-    symmetry: bool,
-    memory_cells,
-    collect_deadlocks: bool = False,
-):
-    """Build the canonicaliser and cell plan for one dpor explore.
-
-    Returns ``(canon, search_cells, finish)``: the ``CanonicalKeys``
-    instance to pass to ``run_search``, the memory cells the search
-    should collect, and a callback mapping the raw outcome set to the
-    caller-facing one.
-
-    Thread symmetry is only detected when asked for, and is disabled
-    when exact deadlock states must be reported (a symmetric search
-    returns orbit *representatives*; outcomes close under the group,
-    arbitrary deadlock states do not).  With a nontrivial group the
-    search widens to every data cell -- outcome closure permutes cell
-    values, so it needs all of them -- and ``finish`` closes the
-    outcome set under the group before projecting back to the
-    requested cells.  If the caller asks about a cell outside the
-    detected geometry, symmetry is dropped rather than risk projecting
-    a value the closure cannot translate.
-    """
-    requested = tuple(memory_cells)
-    group = None
-    if symmetry and not collect_deadlocks:
-        group = detect_symmetry(initial)
-    if group is not None:
-        searched = tuple(group.geometry.cells)
-        if not set(requested) <= set(searched):
-            group = None
-    canon = CanonicalKeys(initial, group)
-    if group is None:
-        return canon, requested, lambda outcomes: outcomes
-    return (
-        canon,
-        searched,
-        lambda outcomes: close_outcomes(outcomes, group, requested),
-    )
 
 #: Kinds that append an event to a propagation list.  ``resolve_sc``
 #: appends only on success, which is state-dependent -- the abstraction
@@ -252,12 +202,12 @@ class _Frame:
 
     __slots__ = (
         "state", "payload", "sleep", "context", "transitions", "backtrack",
-        "explored", "explored_set", "explored_enc", "saturated", "elem",
-        "entry", "blob", "taken_abs", "hb_taken",
+        "explored", "explored_set", "explored_enc", "saturated", "entry",
+        "blob", "taken_abs", "hb_taken",
     )
 
     def __init__(self, state, payload, sleep, context, transitions,
-                 elem, entry, backtrack, explored_enc):
+                 entry, backtrack, explored_enc):
         self.state = state
         self.payload = payload
         self.sleep = sleep
@@ -267,14 +217,13 @@ class _Frame:
         self.backtrack = backtrack
         self.explored: List[Transition] = []
         self.explored_set = set()
-        #: Canonical encodings explored on *previous* visits (never fed
-        #: into child sleep sets -- conservative).
+        #: Encodings explored on *previous* visits (never fed into child
+        #: sleep sets -- conservative).
         self.explored_enc = explored_enc
         self.saturated = False
-        self.elem: SymElem = elem
         self.entry = entry
-        #: Mutable concrete-coordinate summary of the subtree below
-        #: (same eight fields as ``_EMPTY_BLOB``).
+        #: Mutable summary of the subtree below (same eight fields as
+        #: ``_EMPTY_BLOB``).
         self.blob = [set(), set(), set(), False, set(), set(), set(), False]
         self.taken_abs: Optional[tuple] = None
         self.hb_taken = 0
@@ -295,7 +244,7 @@ def run_dpor(
 ):
     """The source-DPOR loop (see the module docstring).
 
-    ``seen`` maps canonical key -> ``[explored encodings, blob]``; it
+    ``seen`` maps canonical key -> ``[explored encodings, blob, cut]``; it
     must be private to one search (entries assume this loop's visit
     protocol).  Mirrors ``core._run_reduced``'s budget, final, deadlock
     and accounting semantics: a state counts as visited when a frame is
@@ -360,24 +309,6 @@ def run_dpor(
             if not frame.saturated and _blob_dep(frame.taken_abs, blob):
                 saturate(frame)
 
-    def decode_blob(blob: tuple, elem: SymElem) -> tuple:
-        """Canonical blob -> path (concrete) coordinates."""
-        if canon.trivial or elem.identity:
-            return blob
-        tids, mut, obs, special, appends, btargets, borigins, bcomp = blob
-        pi_inv = elem.pi_inv
-        sigma_inv = elem.sigma_inv
-        return (
-            frozenset(pi_inv.get(t, t) for t in tids),
-            frozenset(sigma_inv.get(c, c) for c in mut),
-            frozenset(sigma_inv.get(c, c) for c in obs),
-            special,
-            frozenset(pi_inv.get(t, t) for t in appends),
-            frozenset(pi_inv.get(t, t) for t in btargets),
-            frozenset(pi_inv.get(t, t) for t in borigins),
-            bcomp,
-        )
-
     def merge_blob(target: list, blob: tuple) -> None:
         target[0] |= blob[0]
         target[1] |= blob[1]
@@ -387,23 +318,6 @@ def run_dpor(
         target[5] |= blob[5]
         target[6] |= blob[6]
         target[7] = target[7] or blob[7]
-
-    def encode_blob(blob: tuple, elem: SymElem) -> tuple:
-        """Path (concrete) blob -> canonical coordinates."""
-        if canon.trivial or elem.identity:
-            return blob
-        pi = elem.pi
-        sigma = elem.sigma
-        return (
-            frozenset(pi.get(t, t) for t in blob[0]),
-            frozenset(sigma.get(c, c) for c in blob[1]),
-            frozenset(sigma.get(c, c) for c in blob[2]),
-            blob[3],
-            frozenset(pi.get(t, t) for t in blob[4]),
-            frozenset(pi.get(t, t) for t in blob[5]),
-            frozenset(pi.get(t, t) for t in blob[6]),
-            blob[7],
-        )
 
     # -- outcome-determined end-game cut ---------------------------------
     #
@@ -668,8 +582,7 @@ def run_dpor(
                 # the hb-clear test.
                 if (
                     transition not in racer.explored_set
-                    and encode(racer.elem, transition)
-                    not in racer.explored_enc
+                    and encode(transition) not in racer.explored_enc
                 ):
                     racer.backtrack.add(transition)
             else:
@@ -703,7 +616,7 @@ def run_dpor(
             if not frame.saturated and transition not in frame.backtrack:
                 continue
             if frame.explored_enc and (
-                encode(frame.elem, transition) in frame.explored_enc
+                encode(transition) in frame.explored_enc
             ):
                 continue
             if not reducer.within_bound(frame.context, transition):
@@ -711,11 +624,11 @@ def run_dpor(
             return transition
         return None
 
-    def push(state, child_payload, sleep, context, transitions, elem,
-             entry, backtrack, explored_enc) -> None:
+    def push(state, child_payload, sleep, context, transitions, entry,
+             backtrack, explored_enc) -> None:
         frames.append(_Frame(
-            state, child_payload, sleep, context, transitions, elem,
-            entry, backtrack, explored_enc,
+            state, child_payload, sleep, context, transitions, entry,
+            backtrack, explored_enc,
         ))
         stats.max_frontier = max(stats.max_frontier, len(frames))
 
@@ -725,15 +638,14 @@ def run_dpor(
         ``transitions``, when given, is the state's pruned enabled list
         (already computed by the caller's disabled-sibling repair).
         """
-        ckey, elem = canon.canonical(state)
+        ckey = canon.canonical(state)
         entry = seen.get(ckey)
         if entry is not None:
             blob = entry[1]
             if blob is not _EMPTY_BLOB:
-                concrete = decode_blob(blob, elem)
-                replay_blob(concrete, len(frames))
+                replay_blob(blob, len(frames))
                 if frames:
-                    merge_blob(frames[-1].blob, concrete)
+                    merge_blob(frames[-1].blob, blob)
             if entry[2]:
                 # A key cut on first visit: outcome already emitted and
                 # (same canonical key => same continuations) determined
@@ -752,13 +664,13 @@ def run_dpor(
                 transition
                 for transition in transitions
                 if transition not in sleep
-                and encode(elem, transition) not in entry[0]
+                and encode(transition) not in entry[0]
             ]
             if not need:
                 return None
             count_visit()
-            push(state, child_payload, sleep, context, transitions, elem,
-                 entry, {need[0]}, entry[0])
+            push(state, child_payload, sleep, context, transitions, entry,
+                 {need[0]}, entry[0])
             return None
         count_visit()
         entry = [set(), _EMPTY_BLOB, False]
@@ -786,7 +698,7 @@ def run_dpor(
                 replay_blob(blob, len(frames))
                 if frames:
                     merge_blob(frames[-1].blob, blob)
-                entry[1] = encode_blob(blob, elem)
+                entry[1] = blob
                 entry[2] = True
                 stats.final_states += 1
                 return visitor.on_final(done[0], done[1])
@@ -795,8 +707,8 @@ def run_dpor(
             # are still the determined one).
         awake = [t for t in transitions if t not in sleep]
         backtrack = {awake[0]} if awake else set()
-        push(state, child_payload, sleep, context, transitions, elem,
-             entry, backtrack, entry[0])
+        push(state, child_payload, sleep, context, transitions, entry,
+             backtrack, entry[0])
         return None
 
     found = arrive(initial, payload, frozenset(), (None, 0))
@@ -809,11 +721,8 @@ def run_dpor(
             # Frame done: publish this visit's coverage to the entry and
             # fold the subtree summary into the parent.
             entry = frame.entry
-            elem = frame.elem
             if frame.explored:
-                entry[0].update(
-                    encode(elem, t) for t in frame.explored
-                )
+                entry[0].update(encode(t) for t in frame.explored)
             blob = (
                 frozenset(frame.blob[0]),
                 frozenset(frame.blob[1]),
@@ -825,12 +734,11 @@ def run_dpor(
                 frame.blob[7],
             )
             if blob != _EMPTY_BLOB:
-                canonical_blob = encode_blob(blob, elem)
                 stored = entry[1]
                 entry[1] = (
-                    canonical_blob if stored is _EMPTY_BLOB else tuple(
-                        stored[i] | canonical_blob[i] if i in (0, 1, 2, 4, 5, 6)
-                        else (stored[i] or canonical_blob[i])
+                    blob if stored is _EMPTY_BLOB else tuple(
+                        stored[i] | blob[i] if i in (0, 1, 2, 4, 5, 6)
+                        else (stored[i] or blob[i])
                         for i in range(8)
                     )
                 )

@@ -32,8 +32,8 @@ from .core import (
     extend_trace,
     run_search,
 )
-from .dpor import prepare_dpor
 from .reduction import make_reducer
+from ..symmetry import CanonicalKeys
 from ..system import SystemState
 
 
@@ -43,10 +43,6 @@ class SequentialDFS(SearchStrategy):
 
     reduction: str = "none"
     context_bound: Optional[int] = None
-    #: With ``reduction="dpor"``: also canonicalise state keys modulo
-    #: detected thread symmetry (sorted orbit representatives).  Ignored
-    #: by the other reductions, whose seen keys must stay exact.
-    symmetry: bool = False
 
     name = "sequential"
 
@@ -61,15 +57,12 @@ class SequentialDFS(SearchStrategy):
         stats = ExplorationStats()
         reducer = make_reducer(self.reduction, self.context_bound)
         if reducer is not None and reducer.dpor:
-            canon, search_cells, finish = prepare_dpor(
-                initial, self.symmetry, memory_cells, collect_deadlocks
-            )
+            canon = CanonicalKeys(initial)
             seen = {}
         else:
-            canon, finish = None, None
-            search_cells = tuple(memory_cells)
+            canon = None
             seen = {} if reducer is not None and reducer.sleep else set()
-        visitor = CollectOutcomes(search_cells, collect_deadlocks)
+        visitor = CollectOutcomes(tuple(memory_cells), collect_deadlocks)
         started = time.perf_counter()
         try:
             run_search(
@@ -85,7 +78,7 @@ class SequentialDFS(SearchStrategy):
             stats.seconds = time.perf_counter() - started
             stats.unique_states = len(seen)
         return ExplorationResult(
-            visitor.outcomes if finish is None else finish(visitor.outcomes),
+            visitor.outcomes,
             stats,
             visitor.deadlock_states,
             complete=reducer is None or not reducer.truncated,
@@ -101,10 +94,10 @@ class SequentialDFS(SearchStrategy):
         limit = self.resolve_limit(initial, max_states)
         stats = ExplorationStats()
         visitor = StopOnWitness(predicate, tuple(memory_cells))
-        # Witness traces must be concrete executions; the dpor driver's
-        # canonical merging would hand back traces over orbit
-        # representatives, so witness searches run the (equally sound,
-        # envelope-preserving) sleep-set layer instead.
+        # Witness searches run dpor as its (equally sound,
+        # envelope-preserving) sleep-set layer.  Whether the dpor driver,
+        # with its normal-form merging and end-game cut, could return
+        # witness traces itself is an open item in ROADMAP.md.
         reduction = "sleep" if self.reduction == "dpor" else self.reduction
         reducer = make_reducer(reduction, self.context_bound)
         seen = {} if reducer is not None and reducer.sleep else set()

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..isa.model import IsaModel
-from ..sail.interp import resume
 from ..sail.outcomes import (
     Barrier as BarrierOutcome,
     Done as DoneOutcome,

@@ -22,7 +22,7 @@ The micro-op state of an instance is the paper's
       | MOS_pending_mem_read of read_request * (memval -> instruction_state)
       | MOS_potential_mem_write of (list write) * instruction_state
 
-with the continuation stored as a pending interpreter state, plus the
+with the continuation stored as a pending Sail instruction state, plus the
 "blocked register read" refinement and the store-conditional variant.
 """
 
@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..isa.model import DecodedInstruction, IsaModel
 from ..sail.analysis import Footprint
-from ..sail.interp import InterpState, resume
+from ..sail.compile import CompiledState
 from ..sail.outcomes import RegSlice
 from ..sail.values import Bits
 from .events import Write, WriteId
@@ -49,7 +49,7 @@ class ModelError(Exception):
 
 # Micro-op state tags.
 MOS_PLAIN = "plain"
-MOS_BLOCKED_REG = "blocked_reg"  # (tag, RegSlice, pending InterpState)
+MOS_BLOCKED_REG = "blocked_reg"  # (tag, RegSlice, pending state)
 MOS_PENDING_READ = "pending_read"  # (tag, kind, addr, size, pending state)
 MOS_PENDING_SC = "pending_sc"  # (tag, addr, size, value, pending state)
 MOS_DONE = "done"
@@ -118,7 +118,7 @@ class InstructionInstance:
         address: int,
         instruction: DecodedInstruction,
         static_fp: Footprint,
-        initial: InterpState,
+        initial: CompiledState,
         prev: Optional[Ioid],
     ):
         self.ioid = ioid
@@ -254,26 +254,24 @@ class InstructionInstance:
     # Dynamic footprints
     # ------------------------------------------------------------------
 
-    def remaining_state(
-        self, model: Optional[IsaModel] = None
-    ) -> Optional[InterpState]:
-        """An interpreter state covering the instruction's remaining work.
+    def remaining_state(self, model: IsaModel):
+        """An instruction state covering the instruction's remaining work.
 
-        When ``model`` is given its resume memo is used, so repeated calls
-        along different interleavings share the resulting state object.
+        A pending state is resumed with an unknown value through the
+        model's resume memo, so repeated calls along different
+        interleavings share the resulting state object.
         """
-        do_resume = resume if model is None else model.resume
         tag = self.mos[0]
         if tag == MOS_PLAIN:
             return self.mos[1]
         if tag == MOS_BLOCKED_REG:
             reg_slice, pending = self.mos[1], self.mos[2]
-            return do_resume(pending, Bits.unknown(reg_slice.width))
+            return model.resume(pending, Bits.unknown(reg_slice.width))
         if tag == MOS_PENDING_READ:
             _, _, _, size, pending = self.mos
-            return do_resume(pending, Bits.unknown(8 * size))
+            return model.resume(pending, Bits.unknown(8 * size))
         if tag == MOS_PENDING_SC:
-            return do_resume(self.mos[4], Bits.unknown(1))
+            return model.resume(self.mos[4], Bits.unknown(1))
         return None
 
     def remaining_footprint(self, model: IsaModel) -> Optional[Footprint]:

@@ -3,48 +3,32 @@
 ``IsaModel`` plays the role of the paper's ``context``: the complete ISA
 definition.  At construction it parses (and sanity-checks) the Sail
 pseudocode of every instruction specification, builds the decode table, and
-wires up the interpreter and the exhaustive footprint analysis.  Decoded
-instructions and their initial interpreter states are cached per opcode so
-that AST node identity is stable across the whole exploration (which the
-interpreter-state hashing relies on).
+wires up the execution backend and the exhaustive footprint analysis.
+
+Instructions execute on one backend: the ahead-of-time compiled bodies
+(``sail/compile.py``).  The reference CEK interpreter (``sail/interp.py``)
+stays the footprint engine -- ``footprint`` converts compiled states to
+interpreter states first -- and the differential reference the compiled
+backend is checked against, outcome for outcome
+(``tests/test_sail_compile.py``).  Decoded instructions and their initial
+states are cached per opcode, and Sail steps are memoised, so equal
+instruction states reached along different interleavings are usually the
+same object.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..sail.analysis import Footprint, FootprintAnalysis
 from ..sail.ast import FunctionClause
 from ..sail.compile import CompiledBackend, CompiledState
-from ..sail.interp import Interp, InterpState, initial_state, resume
+from ..sail.interp import Interp, InterpState
 from ..sail.parser import parse_execute_clause
 from .defs import ALL_SPECS
 from .registers import Registry, power_registry
 from .spec import DecodeTable, InstructionSpec
-
-#: Environment switch for the Sail execution backend, read when a model is
-#: constructed without an explicit ``sail_backend`` (the CLI/bench paths).
-SAIL_BACKEND_ENV = "PPCMEM2_SAIL_BACKEND"
-
-#: Default execution backend: the ahead-of-time compiled bodies
-#: (``sail/compile.py``); ``"interp"`` selects the reference CEK
-#: interpreter.  Both produce bit-identical outcome sequences (pinned by
-#: ``tests/test_sail_compile.py``).
-DEFAULT_SAIL_BACKEND = "compiled"
-
-_SAIL_BACKENDS = ("compiled", "interp")
-
-
-def resolve_sail_backend(explicit: Optional[str] = None) -> str:
-    """The backend to use: explicit argument, else environment, else default."""
-    backend = explicit or os.environ.get(SAIL_BACKEND_ENV) or DEFAULT_SAIL_BACKEND
-    if backend not in _SAIL_BACKENDS:
-        raise ValueError(
-            f"unknown sail backend {backend!r} (choose from {_SAIL_BACKENDS})"
-        )
-    return backend
 
 
 class DecodeError(Exception):
@@ -97,12 +81,11 @@ MEMO_LIMIT = 65536
 class IsaModel:
     """The complete ISA definition (decode + execute + analysis)."""
 
-    def __init__(self, specs=None, sail_backend: Optional[str] = None):
+    def __init__(self, specs=None):
         self.registry: Registry = power_registry()
         self._view = self.registry.parser_view()
         self.interp = Interp(self.registry)
         self.analysis = FootprintAnalysis(self.interp)
-        self.sail_backend = resolve_sail_backend(sail_backend)
         self.compiled = CompiledBackend(self.registry, self.interp)
         self.table = DecodeTable(specs if specs is not None else ALL_SPECS)
         self._clauses: Dict[str, FunctionClause] = {}
@@ -159,24 +142,20 @@ class IsaModel:
         """The Sail instruction state at the start of execution.
 
         Cached per opcode so instances share AST and initial state; restarts
-        (section 5) reset an instance to exactly this state.  The state's
-        concrete type depends on ``sail_backend``: a ``CompiledState`` for
-        the compiled backend, an ``InterpState`` for the interpreter -- both
-        speak the same resumable outcome protocol through
-        ``run_to_outcome`` / ``resume``.
+        (section 5) reset an instance to exactly this state, a
+        ``CompiledState`` that ``run_to_outcome`` / ``resume`` step.
         """
         cache = self._initial_cache
         cached = cache.get(instruction.word)
         if cached is not None:
             return cached
         clause = self._clauses[instruction.name]
-        fields = instruction.spec.field_bits(instruction.word)
-        if self.sail_backend == "compiled":
-            state = self.compiled.initial_state(
-                instruction.spec, clause, instruction.word, fields
-            )
-        else:
-            state = initial_state(clause.body, fields)
+        state = self.compiled.initial_state(
+            instruction.spec,
+            clause,
+            instruction.word,
+            instruction.spec.field_bits(instruction.word),
+        )
         if len(cache) >= MEMO_LIMIT:
             cache.clear()
         cache[instruction.word] = state
@@ -188,18 +167,14 @@ class IsaModel:
         ``run_to_outcome`` is a pure function of an immutable state, and the
         exhaustive explorer re-executes identical instruction states along
         every interleaving, so the concurrency model's deterministic Sail
-        stepping is served from this (bounded) cache.  Dispatches on the
-        state's type, so both backends' states can flow through one model.
+        stepping is served from this (bounded) cache.
         """
         cache = self._outcome_cache
         outcome = cache.get(state)
         if outcome is None:
             if len(cache) >= MEMO_LIMIT:
                 cache.clear()
-            if type(state) is CompiledState:
-                outcome = self.compiled.run_to_outcome(state)
-            else:
-                outcome = self.interp.run_to_outcome(state)
+            outcome = self.compiled.run_to_outcome(state)
             cache[state] = outcome
         return outcome
 
@@ -217,10 +192,7 @@ class IsaModel:
         if resumed is None:
             if len(cache) >= MEMO_LIMIT:
                 cache.clear()
-            if type(state) is CompiledState:
-                resumed = self.compiled.resume(state, value)
-            else:
-                resumed = resume(state, value)
+            resumed = self.compiled.resume(state, value)
             cache[key] = resumed
         return resumed
 

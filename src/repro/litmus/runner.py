@@ -172,7 +172,6 @@ def run_litmus(
     strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ) -> LitmusResult:
     """Exhaustively run one litmus test and evaluate its condition.
 
@@ -185,8 +184,7 @@ def run_litmus(
     (``reduction="sleep"`` preserves the outcome envelope; a context
     bound may truncate it, reported through ``exploration.complete`` /
     the ``StateLimit`` status; ``reduction="dpor"`` layers source sets
-    and canonical state keys on top, with ``symmetry=True`` also folding
-    permutation-equivalent threads into orbit representatives).
+    and canonical state keys on top).
     """
     model = model if model is not None else default_model()
     system, addresses = build_system(test, model, params)
@@ -198,8 +196,7 @@ def run_litmus(
         for var in sorted(set(condition_locations(test.condition)))
     ]
     engine = build_strategy(
-        strategy, reduction=reduction, context_bound=context_bound,
-        symmetry=symmetry,
+        strategy, reduction=reduction, context_bound=context_bound
     )
     result = engine.explore(
         system, memory_cells=cells, max_states=max_states
@@ -238,7 +235,6 @@ def run_corpus(
     strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
 ):
     """Exhaustively run a corpus of litmus tests across worker processes.
 
@@ -270,7 +266,6 @@ def run_corpus(
         params=params,
         max_states=max_states,
         strategy=build_strategy(
-            strategy, reduction=reduction, context_bound=context_bound,
-            symmetry=symmetry,
+            strategy, reduction=reduction, context_bound=context_bound
         ),
     )

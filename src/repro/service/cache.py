@@ -16,8 +16,8 @@ Cache key
   (whitespace, instruction-column alignment, condition parenthesisation)
   never split cache entries;
 * the full parameter tuple: search-strategy name, reduction, context
-  bound, state budget, Sail execution backend, and the model-parameter
-  fingerprint (``ModelParams``);
+  bound, state budget, and the model-parameter fingerprint
+  (``ModelParams``) -- nothing else changes what a query computes;
 * ``SCHEMA_VERSION`` -- bumped whenever exploration *semantics* change
   (new transitions, changed reduction soundness argument, verdict
   vocabulary), which invalidates every stale entry at once.
@@ -55,8 +55,11 @@ from typing import Any, Callable, Dict, Optional
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
 
 #: Bump when exploration semantics change (see SERVICE.md for the rules).
-#: 2: ``reduction="dpor"`` and the ``symmetry`` key field landed, and the
-#: unique-state accounting changed meaning under dpor (canonical keys).
+#: 2: ``reduction="dpor"`` landed, and the unique-state accounting
+#: changed meaning under dpor (canonical keys).  Two key fields were
+#: dropped later without a bump (SERVICE.md, "Cache key"): every key
+#: changed once, no verdict changed meaning, and rows under the old
+#: keys are never read again.
 SCHEMA_VERSION = 2
 
 
@@ -65,9 +68,7 @@ def cache_key(
     strategy: str = "sequential",
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
     max_states: Optional[int] = None,
-    sail_backend: str = "compiled",
     params: ModelParams = DEFAULT_PARAMS,
 ) -> str:
     """The content hash identifying one (test, parameters) query."""
@@ -77,9 +78,7 @@ def cache_key(
         "strategy": strategy,
         "reduction": reduction,
         "context_bound": context_bound,
-        "symmetry": symmetry,
         "max_states": max_states,
-        "sail_backend": sail_backend,
         "params": asdict(params),
     }
     encoded = json.dumps(

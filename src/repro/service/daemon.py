@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..isa.assembler import AssemblerError
 from ..litmus.parser import LitmusSyntaxError
 from .cache import SCHEMA_VERSION, VerdictCache
-from .engine import EngineRequest, EnvelopeEngine
+from .engine import EngineRequest, EnvelopeEngine, _is_int
 
 #: Default bind address of the service.
 DEFAULT_HOST = "127.0.0.1"
@@ -75,6 +75,33 @@ MAX_FINISHED_JOBS = 1024
 INPUT_ERRORS = (
     KeyError, ValueError, TypeError, LitmusSyntaxError, AssemblerError,
 )
+
+#: A ``gen`` job spec's fields: default, range check and the rule a
+#: value must meet.  The thread and run caps are the ranges ``ppcmem2
+#: gen`` validates against the solver-backed oracle; they also bound the
+#: generator's work per sample, which grows with ``max_threads``.
+GEN_FIELDS = {
+    "seed": (0, lambda v: True, "an integer"),
+    "size": (20, lambda v: v >= 1, "an integer >= 1"),
+    "max_threads": (4, lambda v: 2 <= v <= 6, "an integer from 2 to 6"),
+    "max_run": (2, lambda v: 1 <= v <= 4, "an integer from 1 to 4"),
+}
+
+
+def _gen_spec(gen: Any) -> Dict[str, int]:
+    """A checked ``gen`` spec with defaults filled in (``ValueError``)."""
+    if not isinstance(gen, dict):
+        raise ValueError(f"'gen' must be an object, got {type(gen).__name__}")
+    unknown = set(gen) - set(GEN_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown gen fields: {sorted(unknown)}")
+    spec = {}
+    for name, (default, in_range, rule) in GEN_FIELDS.items():
+        value = gen.get(name, default)
+        if not (_is_int(value) and in_range(value)):
+            raise ValueError(f"gen {name!r} must be {rule}, got {value!r}")
+        spec[name] = value
+    return spec
 
 
 @dataclass
@@ -121,10 +148,9 @@ class ServiceDaemon:
         port: int = DEFAULT_PORT,
         cache_path: str = ":memory:",
         jobs: Optional[int] = None,
-        sail_backend: Optional[str] = None,
     ):
         self.cache = VerdictCache(cache_path)
-        self.engine = EnvelopeEngine(cache=self.cache, sail_backend=sail_backend)
+        self.engine = EnvelopeEngine(cache=self.cache)
         self.worker_budget = jobs
         self._jobs: Dict[str, Job] = {}
         #: Ids of finished jobs still in ``_jobs``, oldest first.
@@ -222,9 +248,15 @@ class ServiceDaemon:
         return job
 
     def _requests_from_body(self, body: Dict[str, Any]) -> List[EngineRequest]:
+        """Every request of a job body, checked before anything is queued."""
         options = body.get("options") or {}
+        tests = body.get("tests") or []
+        if not isinstance(tests, list) or not all(
+            isinstance(item, dict) for item in tests
+        ):
+            raise ValueError("'tests' must be a list of objects")
         requests: List[EngineRequest] = []
-        for item in body.get("tests") or []:
+        for item in tests:
             requests.append(
                 EngineRequest.from_options(
                     source=item["source"],
@@ -233,16 +265,16 @@ class ServiceDaemon:
                 )
             )
         gen = body.get("gen")
-        if gen:
+        if gen is not None:
             from ..litmus.diy import generate
 
-            tests = generate(
-                int(gen.get("seed", 0)),
-                int(gen.get("size", 20)),
-                max_threads=int(gen.get("max_threads", 4)),
-                max_run=int(gen.get("max_run", 2)),
-            )
-            for test in tests:
+            spec = _gen_spec(gen)
+            try:
+                generated = generate(**spec)
+            except RuntimeError as exc:
+                # The caps admit fewer distinct shapes than ``size``.
+                raise ValueError(str(exc)) from None
+            for test in generated:
                 requests.append(
                     EngineRequest.from_options(
                         source=test.source, name=test.name, options=options
@@ -320,7 +352,6 @@ class ServiceDaemon:
             "jobs": self.job_counts(),
             "queue_depth": self._queue.qsize(),
             "worker_budget": self.worker_budget,
-            "sail_backend": self.engine.sail_backend,
             "connections": self._server.connections,
         }
 
@@ -495,6 +526,12 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as exc:
             self._send(400, {"error": f"bad JSON body: {exc}"})
             return
+        if not isinstance(body, dict):
+            self._send(400, {
+                "error": "request body must be a JSON object, got "
+                f"{type(body).__name__}",
+            })
+            return
         try:
             code, payload = self._post(body)
         except INPUT_ERRORS as exc:
@@ -523,15 +560,10 @@ def serve(
     port: int = DEFAULT_PORT,
     cache_path: str = ":memory:",
     jobs: Optional[int] = None,
-    sail_backend: Optional[str] = None,
 ) -> int:
     """CLI entry point: run the daemon until SIGTERM/SIGINT."""
     daemon = ServiceDaemon(
-        host=host,
-        port=port,
-        cache_path=cache_path,
-        jobs=jobs,
-        sail_backend=sail_backend,
+        host=host, port=port, cache_path=cache_path, jobs=jobs
     )
     bound_host, bound_port = daemon.address
     print(

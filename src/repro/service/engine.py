@@ -15,7 +15,7 @@ single façade, with
   ``--context-bound``);
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
-  reduction, backend, ...) correctly misses because the parameters are
+  reduction, strategy, ...) correctly misses because the parameters are
   part of the key (``service.cache.cache_key``);
 * ``run_batch`` for many requests at once, scheduling cache misses
   through the parallel corpus runner, one test per worker -- this is
@@ -60,7 +60,10 @@ REQUEST_OPTIONS = {
         lambda value: value is None or (_is_int(value) and value >= 0),
         "an integer >= 0 or null",
     ),
-    "symmetry": (lambda value: isinstance(value, bool), "true or false"),
+    "symmetry": (
+        lambda value: value is False,
+        "false (thread-symmetry reduction was removed)",
+    ),
     "max_states": (
         lambda value: value is None or (_is_int(value) and value >= 1),
         "an integer >= 1 or null",
@@ -76,6 +79,11 @@ class EngineRequest:
     API accepts), a pre-built ``SearchStrategy`` instance, or ``None``
     (sequential DFS).  All other fields are plain data, so requests
     serialise over the service protocol unchanged.
+
+    ``symmetry`` is accepted only as ``False``: thread-symmetry
+    reduction was removed, and callers that still pass the field keep
+    working.  ``resolve`` refuses ``True``; the field is not in the
+    cache key.
     """
 
     source: str
@@ -93,8 +101,17 @@ class EngineRequest:
         """Build a request from a JSON-safe options dict (daemon path).
 
         Every value is checked here, before anything is resolved, run
-        or cached; a bad one raises ``ValueError`` naming the option.
+        or cached; a bad one raises ``ValueError`` naming the field or
+        option.
         """
+        if not isinstance(source, str):
+            raise ValueError(
+                f"'source' must be a string, got {type(source).__name__}"
+            )
+        if name is not None and not isinstance(name, str):
+            raise ValueError(
+                f"'name' must be a string or null, got {type(name).__name__}"
+            )
         options = options or {}
         if not isinstance(options, dict):
             raise ValueError(f"options must be an object, got {options!r}")
@@ -246,36 +263,27 @@ class EnvelopeEngine:
     """The shared query engine behind the CLI, the harness and the daemon.
 
     ``cache`` is an optional ``VerdictCache``; without one every request
-    explores cold (the pre-service behaviour).  ``sail_backend`` pins
-    the ISA execution backend recorded in every cache key; ``params``
-    are the model parameters (also part of the key).
+    explores cold (the pre-service behaviour).  ``params`` are the model
+    parameters (part of the key).  Every request runs on the
+    process-wide ISA model (``isa.model.default_model``), as the corpus
+    workers ``run_batch`` fans out to do.
     """
 
     def __init__(
         self,
         cache: Optional[VerdictCache] = None,
-        sail_backend: Optional[str] = None,
         params: ModelParams = DEFAULT_PARAMS,
     ):
-        from ..isa.model import resolve_sail_backend
-
         self.cache = cache
-        self.sail_backend = resolve_sail_backend(sail_backend)
         self.params = params
-        self._model = None
 
     # ------------------------------------------------------------------
 
     @property
     def model(self):
-        if self._model is None:
-            from ..isa.model import IsaModel, default_model, resolve_sail_backend
+        from ..isa.model import default_model
 
-            if self.sail_backend == resolve_sail_backend(None):
-                self._model = default_model()
-            else:
-                self._model = IsaModel(sail_backend=self.sail_backend)
-        return self._model
+        return default_model()
 
     def resolve(self, request: EngineRequest) -> _Resolved:
         """Parse + canonicalise a request and derive its cache key.
@@ -287,22 +295,24 @@ class EnvelopeEngine:
         from ..litmus.emit import emit_litmus
         from ..litmus.parser import parse_litmus
 
+        if request.symmetry:
+            raise ValueError(
+                f"option 'symmetry' must be {REQUEST_OPTIONS['symmetry'][1]}, "
+                f"got {request.symmetry!r}"
+            )
         test = parse_litmus(request.source)
         canonical = emit_litmus(test)
         strategy = build_strategy(
             request.strategy,
             reduction=request.reduction,
             context_bound=request.context_bound,
-            symmetry=request.symmetry,
         )
         key = cache_key(
             canonical,
             strategy=strategy.name,
             reduction=strategy.reduction,
             context_bound=strategy.context_bound,
-            symmetry=getattr(strategy, "symmetry", False),
             max_states=request.max_states,
-            sail_backend=self.sail_backend,
             params=self.params,
         )
         return _Resolved(

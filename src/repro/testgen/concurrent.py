@@ -345,7 +345,6 @@ def check_suite(
     strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
-    symmetry: bool = False,
     engine=None,
 ) -> OracleReport:
     """Run a generated suite and check every envelope invariant.
@@ -362,8 +361,7 @@ def check_suite(
     interleavings while preserving every verdict; ``context_bound`` trades
     completeness for speed (truncated tests degrade to "StateLimit"
     skips like budget exhaustion does).  ``reduction="dpor"`` layers
-    source sets and canonical state keys on top of sleep sets;
-    ``symmetry=True`` additionally folds permutation-equivalent threads.
+    source sets and canonical state keys on top of sleep sets.
     """
     from ..service.engine import EngineRequest, EnvelopeEngine
 
@@ -376,7 +374,6 @@ def check_suite(
             strategy=strategy,
             reduction=reduction,
             context_bound=context_bound,
-            symmetry=symmetry,
             max_states=max_states,
         )
         for test in tests

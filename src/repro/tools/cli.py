@@ -21,8 +21,7 @@ backend; ``corpus``, ``litmus`` and ``gen --check`` spread their tests
 one per worker process (``--jobs N``).  All four also take
 ``--reduction {sleep,dpor}`` (verdict-preserving partial-order
 reduction; ``dpor`` layers source sets and canonical state keys on top
-of sleep sets, with ``--symmetry`` also folding permutation-equivalent
-threads), ``--context-bound N`` (sound under-approximation) and
+of sleep sets), ``--context-bound N`` (sound under-approximation) and
 ``--cache PATH`` (persistent verdict cache: repeated queries are
 answered in microseconds).
 
@@ -79,13 +78,6 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
         "becomes a sound under-approximation (StateLimit on "
         "universal claims)",
     )
-    parser.add_argument(
-        "--symmetry",
-        action="store_true",
-        help="with --reduction dpor: also canonicalise states modulo "
-        "detected thread symmetry (orbit representatives); ignored "
-        "by the other reductions",
-    )
 
 
 def _strategy_from(args):
@@ -95,7 +87,6 @@ def _strategy_from(args):
         args.strategy,
         reduction=args.reduction,
         context_bound=args.context_bound,
-        symmetry=args.symmetry,
     )
 
 
@@ -527,8 +518,6 @@ def _client_options(args) -> dict:
         options["reduction"] = args.reduction
     if args.context_bound is not None:
         options["context_bound"] = args.context_bound
-    if args.symmetry:
-        options["symmetry"] = True
     if getattr(args, "max_states", None) is not None:
         options["max_states"] = args.max_states
     return options

@@ -9,6 +9,7 @@ from repro.concurrency.system import SystemState
 from repro.concurrency.thread import ModelError, ThreadState
 from repro.isa.assembler import Assembler
 from repro.isa.model import default_model
+from repro.sail.compile import CompiledState
 from repro.sail.outcomes import RegSlice
 from repro.sail.values import Bits
 
@@ -76,6 +77,29 @@ class TestRegisterResolution:
             for regs, _m in result.outcomes
         }
         assert values == {5}
+
+
+class TestRemainingState:
+    def test_pending_state_resumes_through_the_model(self):
+        # The addi waits on the load's GPR1 write, and the load on its
+        # memory read: both remaining states are pending compiled states
+        # resumed with an unknown value through the model's memo.  The
+        # model is required; the interpreter's ``resume`` it used to fall
+        # back to cannot step a compiled state.
+        system = _system(
+            [["lwz r1,0(r9)", "addi r2,r1,5"]], {0: {"GPR9": _b64(X)}}
+        )
+        pending = [
+            instance for instance in system.threads[0].instances.values()
+            if instance.mos[0] in ("blocked_reg", "pending_read")
+        ]
+        assert pending
+        for instance in pending:
+            state = instance.remaining_state(MODEL)
+            assert type(state) is CompiledState
+            assert instance.remaining_state(MODEL) is state
+            with pytest.raises(TypeError):
+                instance.remaining_state()
 
 
 class TestMixedSize:

@@ -480,67 +480,9 @@ class TestDporEquivalence:
         assert reduced.outcomes == reference.outcomes, name
 
 
-class TestSymmetryCanonicalisation:
-    """Thread-symmetry canonicalisation must not change any answer.
-
-    The canonicaliser maps each state key to a sorted orbit
-    representative under the permutation group of identical threads;
-    on asymmetric tests the group is trivial and the run must stay
-    bit-identical, on permutation-rich generated shapes the outcome
-    sets must still match exactly (soundness: the quotient merges only
-    genuinely equivalent states).
-    """
-
-    @pytest.mark.parametrize("reduction", ["sleep", "dpor"])
-    def test_corpus_outcomes_identical_with_and_without(
-        self, model, reduction
-    ):
-        for name in ("MP", "SB", "SB+syncs", "ATOM-base"):
-            test = by_name(name).parse()
-            plain = run_litmus(test, model, reduction=reduction)
-            canon = run_litmus(
-                test, model, reduction=reduction, symmetry=True
-            )
-            label = f"{name} {reduction}+symmetry"
-            assert canon.exploration.complete, label
-            assert canon.status == plain.status, label
-            assert canon.outcomes == plain.outcomes, label
-
-    def test_generated_3thread_outcomes_identical(self, model):
-        """3-thread generated shapes are where permutation-equivalent
-        threads actually appear; the quotient must preserve the full
-        outcome set there, not just the verdict."""
-        from repro.litmus import diy
-
-        for generated in diy.generate(0, 4, max_threads=3):
-            plain = run_litmus(generated.test, model, reduction="dpor")
-            canon = run_litmus(
-                generated.test, model, reduction="dpor", symmetry=True
-            )
-            label = generated.name
-            assert canon.status == plain.status, label
-            assert canon.outcomes == plain.outcomes, label
-
-    def test_symmetry_never_inflates_unique_states(self, model):
-        test = by_name("SB+syncs").parse()
-        plain = run_litmus(test, model, reduction="dpor")
-        canon = run_litmus(test, model, reduction="dpor", symmetry=True)
-        assert (
-            canon.exploration.stats.unique_states
-            <= plain.exploration.stats.unique_states
-        )
-
-    def test_make_strategy_carries_symmetry(self):
-        strategy = make_strategy("sequential", symmetry=True)
-        assert strategy == SequentialDFS(symmetry=True)
-        bounded = make_strategy("bounded", reduction="dpor", symmetry=True)
-        assert bounded.symmetry and bounded.reduction == "dpor"
-
-
-#: A thread-symmetric SB+syncs (each thread's code and registers map
-#: onto the other's under x <-> y), so ``symmetry=True`` detects a
-#: nontrivial group and keys states through the renamed encoding.  None
-#: of the curated tests is symmetric.
+#: A thread-symmetric SB+syncs: each thread's code and registers map
+#: onto the other's under x <-> y.  None of the curated tests is
+#: symmetric; dpor must key it like any other test.
 SYMMETRIC_SB_SYNCS = """POWER SB+syncs-symmetric
 {
 0:r1=x; 0:r2=y; 0:r3=1;
@@ -555,11 +497,9 @@ exists (0:r4=0 /\\ 1:r4=0)
 """
 
 
-def _reference_events_component(storage, elem, raw):
+def _reference_events_component(storage):
     """``CanonicalKeys._events_component`` as it was before its per-list
     memo: the body verbatim, minus its whole-storage memo."""
-    from repro.concurrency.symmetry import _Opaque
-
     threads = storage.threads
     events_pos = storage._events_pos
     cps = storage.coherence_points
@@ -577,8 +517,6 @@ def _reference_events_component(storage, elem, raw):
         live = []
         for j in range(n):
             tag_j, pay_j = events[j]
-            if tag_j not in ("w", "b"):  # pragma: no cover
-                raise _Opaque()
             for i in range(j):
                 tag_i, pay_i = events[i]
                 if tag_i == "w":
@@ -609,26 +547,18 @@ def _reference_events_component(storage, elem, raw):
                     )
                 if alive:
                     live.append((i, j))
-        if raw:
-            encoded = events
-        else:
-            encoded = [
-                ("w", elem.ewid(e[1])) if e[0] == "w"
-                else ("b", elem.ebid(e[1]))
-                for e in events
-            ]
-        order = sorted(range(n), key=lambda k: encoded[k])
+        order = sorted(range(n), key=lambda k: events[k])
         rank = [0] * n
         for position, k in enumerate(order):
             rank[k] = position
         parts.append((
-            tid if raw else elem.map_tid(tid),
+            tid,
             (
-                tuple(encoded[k] for k in order),
+                tuple(events[k] for k in order),
                 tuple(sorted((rank[i], rank[j]) for i, j in live)),
             ),
         ))
-    return tuple(parts) if raw else tuple(sorted(parts))
+    return tuple(parts)
 
 
 def _run_budgeted(test, model, **options):
@@ -641,7 +571,7 @@ def _run_budgeted(test, model, **options):
 
 class TestNormalFormReference:
     """The memoised normal-form encoding equals the reference on every
-    call of a dpor search, raw (trivial group) and renamed alike."""
+    call of a dpor search."""
 
     NAMES = ("MP", "SB", "SB+syncs", "R", "ATOM-base", "LB", "2+2W", "WRC")
 
@@ -649,47 +579,35 @@ class TestNormalFormReference:
     def calls(self, monkeypatch):
         from repro.concurrency.symmetry import CanonicalKeys
 
-        counts = {"raw": 0, "renamed": 0}
+        counts = {"calls": 0}
         memoised = CanonicalKeys._events_component
 
-        def checked(canon, storage, elem, raw):
-            value = memoised(canon, storage, elem, raw)
-            got = tuple(part.value for part in value) if raw else value
-            assert got == _reference_events_component(storage, elem, raw)
-            counts["raw" if raw else "renamed"] += 1
+        def checked(canon, storage):
+            value = memoised(canon, storage)
+            got = tuple(part.value for part in value)
+            assert got == _reference_events_component(storage)
+            counts["calls"] += 1
             return value
 
         monkeypatch.setattr(CanonicalKeys, "_events_component", checked)
         return counts
 
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_curated(self, model, calls, symmetry):
+    def test_curated(self, model, calls):
         for name in self.NAMES:
             _run_budgeted(
                 by_name(name).parse(), model, max_states=3000,
-                reduction="dpor", symmetry=symmetry,
+                reduction="dpor",
             )
-        assert calls["raw"] > 0
+        assert calls["calls"] > 0
 
-    @pytest.mark.parametrize("symmetry", [False, True])
-    def test_generated_3thread(self, model, calls, symmetry):
+    def test_generated_3thread(self, model, calls):
         from repro.litmus import diy
 
         for generated in diy.generate(0, 8, max_threads=3):
             _run_budgeted(
-                generated.test, model, max_states=3000,
-                reduction="dpor", symmetry=symmetry,
+                generated.test, model, max_states=3000, reduction="dpor",
             )
-        assert calls["raw"] > 0
-
-    def test_renamed_path(self, model, calls):
-        from repro.litmus.parser import parse_litmus
-
-        _run_budgeted(
-            parse_litmus(SYMMETRIC_SB_SYNCS), model, max_states=3000,
-            reduction="dpor", symmetry=True,
-        )
-        assert calls["renamed"] > 0 and calls["raw"] == 0
+        assert calls["calls"] > 0
 
 
 class TestDporBitIdentity:
@@ -697,20 +615,20 @@ class TestDporBitIdentity:
     memo: a change to which states merge shows here, not only as a
     timing."""
 
-    #: (states_visited, unique_states, transitions_taken, final_states).
+    #: (states_visited, unique_states, transitions_taken, final_states),
+    #: keyed by (test, ``symmetry`` request field).  The field only
+    #: accepts ``False`` and must change nothing.
     EXPECTED = {
         ("MP", False): (105, 105, 124, 5),
         ("SB+syncs", False): (343, 323, 491, 19),
         ("R", False): (285, 268, 398, 33),
         ("ATOM-base", False): (4, 4, 4, 2),
-        # The curated tests have no nontrivial symmetry group, so these
-        # two run the raw encoding with ``symmetry=True`` set.
-        ("SB", True): (93, 91, 111, 4),
-        ("SB+syncs", True): (343, 323, 491, 19),
+        ("SB", False): (93, 91, 111, 4),
     }
 
-    #: ``SYMMETRIC_SB_SYNCS`` with ``symmetry=True`` (renamed encoding).
-    SYMMETRIC_EXPECTED = (196, 184, 273, 10)
+    #: ``SYMMETRIC_SB_SYNCS``: the same counts as before thread symmetry
+    #: was removed, with symmetry off.
+    SYMMETRIC_EXPECTED = (343, 323, 491, 19)
 
     #: The gen-wide suite's two tests that complete within budget.
     GEN_WIDE_EXPECTED = {
@@ -727,20 +645,27 @@ class TestDporBitIdentity:
         )
 
     @pytest.mark.parametrize("name,symmetry", sorted(EXPECTED))
-    def test_curated(self, model, name, symmetry):
-        result = run_litmus(
-            by_name(name).parse(), model, reduction="dpor",
-            symmetry=symmetry,
-        )
-        assert self._counts(result) == self.EXPECTED[(name, symmetry)]
+    def test_curated(self, name, symmetry):
+        """Through the service engine, as the genwide-dpor benchmark
+        builds its requests."""
+        from repro.service import EngineRequest, EnvelopeEngine
 
-    def test_symmetric_renamed(self, model):
+        verdict = EnvelopeEngine().run_request(EngineRequest(
+            source=by_name(name).source, reduction="dpor", symmetry=symmetry,
+        ))
+        stats = verdict.stats
+        assert (
+            stats["states_visited"], stats["unique_states"],
+            stats["transitions_taken"], stats["final_states"],
+        ) == self.EXPECTED[(name, symmetry)]
+
+    def test_symmetric_fixture(self, model):
         from repro.litmus.parser import parse_litmus
 
         result = run_litmus(
             parse_litmus(SYMMETRIC_SB_SYNCS), model, reduction="dpor",
-            symmetry=True,
         )
+        assert result.status == "Forbidden"
         assert self._counts(result) == self.SYMMETRIC_EXPECTED
 
     @pytest.mark.parametrize("index", sorted(GEN_WIDE_EXPECTED))
@@ -757,10 +682,10 @@ class TestDporBitIdentity:
 class TestWriteFootprintInvariant:
     """A write id names one footprint for the whole search.
 
-    ``Reducer._write_footprints``, ``Reducer._overlap_components``,
-    ``CanonicalKeys.write_cells`` and the normal-form memos (through
-    ``storage._overlaps``) all key on write ids but read addresses and
-    sizes; they are sound only while this holds.
+    ``Reducer._write_footprints``, ``Reducer._overlap_components`` and
+    the normal-form memo (through ``storage._overlaps``) all key on
+    write ids but read addresses and sizes; they are sound only while
+    this holds.
     """
 
     def test_one_footprint_per_write_id(self, model, monkeypatch):
@@ -832,14 +757,21 @@ class TestCliStrategyFlags:
         assert main(["run", path, "--reduction", "sleep"]) == 0
         assert "Test MP: Allowed" in capsys.readouterr().out
 
-    def test_run_command_with_dpor_and_symmetry(self, tmp_path, capsys):
+    def test_run_command_with_dpor(self, tmp_path, capsys):
         from repro.tools.cli import main
 
         path = self._write(tmp_path, "MP")
-        assert main(
-            ["run", path, "--reduction", "dpor", "--symmetry"]
-        ) == 0
+        assert main(["run", path, "--reduction", "dpor"]) == 0
         assert "Test MP: Allowed" in capsys.readouterr().out
+
+    def test_run_rejects_symmetry_flag(self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        path = self._write(tmp_path, "MP")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", path, "--reduction", "dpor", "--symmetry"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
 
     def test_gen_check_accepts_strategy(self, capsys):
         from repro.tools.cli import main

@@ -103,7 +103,7 @@ from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
 print(cache_key(canonical, strategy="bounded", reduction="sleep",
-                context_bound=3, max_states=1000, sail_backend="interp"))
+                context_bound=3, max_states=1000))
 """
 
     def test_key_identical_across_hash_seeds(self, tmp_path):
@@ -131,10 +131,46 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
             cache_key(canonical, reduction="sleep"),
             cache_key(canonical, context_bound=2),
             cache_key(canonical, max_states=100),
-            cache_key(canonical, sail_backend="interp"),
         ]
         keys = [base] + variants
         assert len(set(keys)) == len(keys)
+
+    def test_key_hashes_exactly_the_query_fields(self):
+        """The key is SHA-256 over these fields and no others: a field
+        added or dropped changes every key."""
+        import hashlib
+        from dataclasses import asdict
+
+        from repro.concurrency.params import DEFAULT_PARAMS
+
+        canonical = _canonical("MP")
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "test": canonical,
+            "strategy": "bounded",
+            "reduction": "dpor",
+            "context_bound": 3,
+            "max_states": 1000,
+            "params": asdict(DEFAULT_PARAMS),
+        }
+        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert cache_key(
+            canonical, strategy="bounded", reduction="dpor",
+            context_bound=3, max_states=1000,
+        ) == hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+    def test_symmetry_false_keys_as_omitted_and_true_is_refused(self):
+        engine = EnvelopeEngine()
+        source = by_name("MP").source
+        omitted = engine.request_key(EngineRequest(source=source))
+        assert omitted == engine.request_key(
+            EngineRequest(source=source, symmetry=False)
+        )
+        assert omitted == engine.request_key(EngineRequest.from_options(
+            source, options={"symmetry": False}
+        ))
+        with pytest.raises(ValueError, match="symmetry"):
+            engine.request_key(EngineRequest(source=source, symmetry=True))
 
     def test_formatting_differences_do_not_split_entries(self):
         engine = EnvelopeEngine()
@@ -425,14 +461,15 @@ class TestDaemonRoundTrip:
             {"reduction": "fast"},
             {"strategy": "sharded"},
             {"symmetry": "yes"},
+            {"symmetry": True},
             {"jobs": 2},
             {"shard_depth": 3},
         ],
         ids=[
             "max_states-str", "max_states-float", "max_states-bool",
             "max_states-zero", "context_bound-str", "context_bound-negative",
-            "reduction-unknown", "strategy-sharded", "symmetry-str", "jobs",
-            "shard_depth",
+            "reduction-unknown", "strategy-sharded", "symmetry-str",
+            "symmetry-true", "jobs", "shard_depth",
         ],
     )
     def test_bad_option_is_400_before_anything_runs(self, service, options):
@@ -453,6 +490,63 @@ class TestDaemonRoundTrip:
         stats = service.stats()
         assert stats["cache"]["entries"] == before
         assert stats["jobs"] == {}
+
+    @pytest.mark.parametrize(
+        "path, body, message",
+        [
+            ("/v1/jobs", {"gen": {"max_threads": 1}}, "'max_threads'"),
+            ("/v1/jobs", {"gen": {"max_threads": 7}}, "'max_threads'"),
+            ("/v1/jobs", {"gen": {"max_run": 0}}, "'max_run'"),
+            ("/v1/jobs", {"gen": {"max_run": 5}}, "'max_run'"),
+            ("/v1/jobs", {"gen": {"size": 0}}, "'size'"),
+            ("/v1/jobs", {"gen": {"size": True}}, "'size'"),
+            ("/v1/jobs", {"gen": {"seed": "0"}}, "'seed'"),
+            ("/v1/jobs", {"gen": {"max_thread": 2}}, "unknown gen fields"),
+            ("/v1/jobs", {"gen": 5}, "'gen' must be an object"),
+            (
+                "/v1/jobs",
+                {"gen": {"size": 1000, "max_threads": 2, "max_run": 1}},
+                "generator exhausted",
+            ),
+            ("/v1/jobs", [{"source": "x"}], "must be a JSON object"),
+            ("/v1/jobs", {"tests": [{"source": 5}]}, "'source' must be a string"),
+            ("/v1/jobs", {"tests": ["MP"]}, "'tests' must be a list of objects"),
+            ("/v1/query", ["MP"], "must be a JSON object"),
+            ("/v1/query", {"source": 5}, "'source' must be a string"),
+            (
+                "/v1/query",
+                {"source": by_name("MP").source, "name": 5},
+                "'name' must be a string or null",
+            ),
+        ],
+        ids=[
+            "gen-one-thread", "gen-seven-threads",
+            "gen-run-zero", "gen-run-five", "gen-size-zero", "gen-size-bool",
+            "gen-seed-str", "gen-unknown-field", "gen-not-object",
+            "gen-exhausted", "jobs-array-body", "jobs-source-int",
+            "jobs-tests-not-objects", "query-array-body", "query-source-int",
+            "query-name-int",
+        ],
+    )
+    def test_malformed_body_is_400_and_nothing_is_queued(
+        self, service, path, body, message
+    ):
+        from repro.service.client import ServiceError
+
+        before = service.stats()["cache"]["entries"]
+        with pytest.raises(ServiceError) as excinfo:
+            service._request("POST", path, body)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.payload["error"]
+        stats = service.stats()
+        assert stats["jobs"] == {}
+        assert stats["cache"]["entries"] == before
+        assert service.health()["ok"]
+
+    def test_stats_fields(self, service):
+        assert set(service.stats()) == {
+            "cache", "jobs", "queue_depth", "worker_budget", "connections",
+        }
 
     def test_internal_error_is_500_and_the_daemon_keeps_serving(
         self, service, monkeypatch

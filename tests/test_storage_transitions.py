@@ -212,10 +212,9 @@ def test_sync_acknowledgement_options(compared, model):
     [
         dict(reduction="none"),
         dict(reduction="sleep"),
-        dict(reduction="dpor", symmetry=False),
-        dict(reduction="dpor", symmetry=True),
+        dict(reduction="dpor"),
     ],
-    ids=["none", "sleep", "dpor", "dpor-symmetry"],
+    ids=["none", "sleep", "dpor"],
 )
 def test_gen_wide_suite(compared, model, options):
     for generated in diy.generate(
