@@ -10,7 +10,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH] [--label L]
         [--suite e6|gen|gen-wide|service]
-        [--strategy sequential|bounded]
         [--reduction none|sleep|dpor] [--context-bound N]
     python benchmarks/run_bench.py --paired REF --workload W --seed S
         [--pairs N] [--seconds T]
@@ -29,8 +28,9 @@ two sides' work digests differ (a speed claim needs identical work).
 curated E6 family, appending a generated-suite throughput entry to the
 same trajectory (marked ``"suite": "gen"``).
 
-``--strategy`` picks the search backend per test (entries record it
-under ``"strategy"``).
+``--reduction``/``--context-bound`` apply to every test's search
+(entries record them under ``"strategy"``).  A test whose search did
+not complete is recorded with its partial work and ``"limit": true``.
 
 ``--suite service`` measures the verdict cache twice on the E6 family:
 in process (one cold ``EnvelopeEngine.run_request``, one warm) and over
@@ -243,7 +243,7 @@ def run_service_http_leg():
     return per_test, total
 
 
-def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
+def run_suite(model=None, suite="e6", reduction="none", context_bound=None):
     """Run one benchmark suite; returns (per_test, total) dicts.
 
     ``reduction`` is recorded verbatim in every per-test entry (even
@@ -252,7 +252,6 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
     per-test ``unique_states`` counter is the coverage that pairs with
     it (canonical-key states under ``dpor``, raw keys otherwise).
     """
-    from repro.concurrency.search import ExplorationLimit
     from repro.isa.model import default_model
     from repro.litmus.runner import run_litmus
 
@@ -262,18 +261,11 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
     total_states = total_unique = total_transitions = 0
     total_seconds = 0.0
     for name, test in _suite_tests(suite):
-        limited = False
-        try:
-            result = run_litmus(
-                test, model, max_states=max_states, strategy=strategy
-            )
-            stats = result.exploration.stats
-        except ExplorationLimit as exc:
-            # Budget exhaustion still did (and accounts) real work.
-            from repro.concurrency.search import ExplorationStats
-
-            stats = exc.stats if exc.stats is not None else ExplorationStats()
-            limited = True
+        exploration = run_litmus(
+            test, model, max_states=max_states, reduction=reduction,
+            context_bound=context_bound,
+        ).exploration
+        stats = exploration.stats
         per_test[name] = {
             "states": stats.states_visited,
             "finals": stats.final_states,
@@ -283,7 +275,7 @@ def run_suite(model=None, suite="e6", strategy=None, reduction="none"):
             "reduction": reduction,
             "seconds": round(stats.seconds, 4),
         }
-        if limited:
+        if not exploration.complete:
             per_test[name]["limit"] = True
         total_states += stats.states_visited
         total_unique += stats.unique_states
@@ -438,12 +430,6 @@ def main(argv=None) -> int:
         "engine on the e6 family",
     )
     parser.add_argument(
-        "--strategy",
-        choices=("sequential", "bounded"),
-        default="sequential",
-        help="search backend per test (default sequential)",
-    )
-    parser.add_argument(
         "--reduction",
         choices=("none", "sleep", "dpor"),
         default="none",
@@ -479,14 +465,7 @@ def main(argv=None) -> int:
             args.paired, args.workload, args.seed, args.pairs, args.seconds
         )
 
-    from repro.concurrency.search import make_strategy
-
-    strategy = make_strategy(
-        args.strategy,
-        reduction=args.reduction,
-        context_bound=args.context_bound,
-    )
-    strategy_record = {"name": args.strategy}
+    strategy_record = {}
     if args.reduction != "none":
         strategy_record["reduction"] = args.reduction
     if args.context_bound is not None:
@@ -504,8 +483,8 @@ def main(argv=None) -> int:
         per_test, total = run_suite(
             model=model,
             suite=args.suite,
-            strategy=strategy,
             reduction=args.reduction,
+            context_bound=args.context_bound,
         )
 
     try:

@@ -18,13 +18,7 @@ from .parallel import (
     explore_corpus,
 )
 from .params import DEFAULT_PARAMS, ModelParams
-from .search import (
-    BoundedIterative,
-    SearchStrategy,
-    SequentialDFS,
-    make_strategy,
-    resolve_strategy,
-)
+from .search import SequentialDFS
 from .storage import CoherenceViolation, StorageSubsystem
 from .system import SystemState, Transition
 from .thread import InstructionInstance, ModelError, ThreadState
@@ -32,7 +26,6 @@ from .thread import InstructionInstance, ModelError, ThreadState
 __all__ = [
     "BarrierEvent",
     "BarrierId",
-    "BoundedIterative",
     "CachedKey",
     "CoherenceViolation",
     "CorpusReport",
@@ -44,7 +37,6 @@ __all__ = [
     "InstructionInstance",
     "ModelError",
     "ModelParams",
-    "SearchStrategy",
     "SequentialDFS",
     "StorageSubsystem",
     "SystemState",
@@ -57,7 +49,5 @@ __all__ = [
     "explore",
     "explore_corpus",
     "find_witness",
-    "make_strategy",
-    "resolve_strategy",
     "run_one",
 ]

@@ -5,21 +5,18 @@ over the system-state transition graph.  Final states are summarised as
 *outcomes* -- per-thread final register values plus possible final memory
 values (one outcome per linearisation of residual coherence freedom).
 
-This module is now a thin facade over the pluggable search subsystem
+This module is a thin facade over the search subsystem
 (``repro.concurrency.search``): the historical ``explore`` and
-``find_witness`` entry points delegate to a ``SearchStrategy`` backend
-(``SequentialDFS`` by default, which is bit-identical -- states visited,
-transitions taken, outcomes -- to the pre-refactor loops).  Pass
-``strategy`` (an instance or registry name) to search differently:
-``BoundedIterative`` trades completeness for a bounded, flagged partial
-result.
+``find_witness`` entry points delegate to ``SequentialDFS``, which is
+bit-identical -- states visited, transitions taken, outcomes -- to the
+pre-refactor loops.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .search import apply_reduction, resolve_strategy
+from .search import SequentialDFS
 from .search.core import (  # noqa: F401  (re-exported compatibility surface)
     ExplorationLimit,
     ExplorationResult,
@@ -38,7 +35,6 @@ def explore(
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
     collect_deadlocks: bool = False,
-    strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
 ) -> ExplorationResult:
@@ -46,15 +42,14 @@ def explore(
 
     ``memory_cells`` lists (addr, size) memory locations whose final values
     the caller cares about (from the litmus test's final condition);
-    ``strategy`` picks the search backend (default: sequential DFS);
     ``reduction``/``context_bound`` apply the partial-order reduction
-    options to it (``"sleep"`` preserves the outcome envelope, a context
-    bound may truncate it -- reported via ``ExplorationResult.complete``;
-    ``"dpor"`` layers source sets and canonical state keys on top).
+    options (``"sleep"`` preserves the outcome envelope, a context bound
+    may truncate it; ``"dpor"`` layers source sets and canonical state
+    keys on top).  A search stopped by the state budget or the context
+    bound returns the outcomes found so far, with
+    ``ExplorationResult.complete`` False and ``stop_reason`` saying why.
     """
-    return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound
-    ).explore(
+    return SequentialDFS(reduction, context_bound).explore(
         initial,
         memory_cells=memory_cells,
         max_states=max_states,
@@ -67,7 +62,6 @@ def find_witness(
     predicate,
     memory_cells: Iterable[Tuple[int, int]] = (),
     max_states: Optional[int] = None,
-    strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
 ) -> Optional[Witness]:
@@ -78,13 +72,12 @@ def find_witness(
     witnessing execution found, or None if the predicate is unsatisfiable.
     The trace is the abstract-machine run behind the outcome -- the
     executable counterpart of the paper's execution diagrams.
-    ``reduction``/``context_bound`` behave as in ``explore`` (a
-    context-truncated witness search raises instead of returning an
-    unsupported ``None``; witness searches run ``dpor`` as sleep sets).
+    ``reduction``/``context_bound`` behave as in ``explore``, except
+    that a search the budget or the context bound stopped raises
+    ``ExplorationLimit`` instead of returning an unsupported ``None``
+    (witness searches run ``dpor`` as sleep sets).
     """
-    return apply_reduction(
-        resolve_strategy(strategy), reduction, context_bound
-    ).find_witness(
+    return SequentialDFS(reduction, context_bound).find_witness(
         initial,
         predicate,
         memory_cells=memory_cells,

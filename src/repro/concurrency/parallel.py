@@ -4,14 +4,13 @@ State graphs of distinct litmus tests are independent, so the unit of
 parallelism is one test: the corpus is spread one test at a time across
 ``multiprocessing`` workers, each of which builds (or, with the ``fork``
 start method, inherits) the process-wide ISA model and runs the exhaustive
-oracle through a pluggable ``SearchStrategy``.  Results come back as slim,
+oracle (``SequentialDFS``).  Results come back as slim,
 picklable ``CorpusTestResult`` records whose ``ExplorationStats`` are
 merged into corpus-level totals.
 
 ``explore_corpus`` takes ``(name, source)`` pairs so workers re-parse the
 litmus source themselves -- litmus files are tiny, and shipping text keeps
 the worker protocol independent of every internal class being picklable.
-(Strategies themselves are frozen dataclasses, picklable by value.)
 Each test is searched by one process; ``corpus_job_count`` sizes the
 pool.
 """
@@ -25,11 +24,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .params import DEFAULT_PARAMS, ModelParams
-from .search import SearchStrategy, resolve_strategy
-from .search.core import ExplorationLimit, ExplorationStats
+from .search.core import ExplorationStats
 
-#: One unit of work: (name, litmus source, params, max_states, strategy).
-Task = Tuple[str, str, ModelParams, Optional[int], SearchStrategy]
+#: One unit of work: (name, litmus source, params, max_states, reduction,
+#: context_bound).
+Task = Tuple[str, str, ModelParams, Optional[int], str, Optional[int]]
 
 
 @dataclass
@@ -37,13 +36,17 @@ class CorpusTestResult:
     """Slim, picklable summary of one test's exhaustive run."""
 
     name: str
-    status: str  # litmus verdict ("Allowed", ...) or "StateLimit" on budget
+    status: str  # litmus verdict ("Allowed", ...) or "StateLimit"
     witnessed: bool
     holds_always: bool
-    outcomes: Set[Tuple]  # the full outcome set (register/memory tuples)
+    outcomes: Set[Tuple]  # the outcome set (register/memory tuples)
     stats: ExplorationStats
-    error: Optional[str] = None  # set when the state budget was exhausted
-    complete: bool = True  # False: ``outcomes`` is a partial set
+    error: Optional[str] = None  # why the search stopped early, if it did
+
+    @property
+    def complete(self) -> bool:
+        """False when ``outcomes`` is a partial set."""
+        return self.error is None
 
     @property
     def outcome_count(self) -> int:
@@ -153,40 +156,25 @@ def _run_task(task: Task) -> CorpusTestResult:
     from ..litmus.parser import parse_litmus
     from ..litmus.runner import run_litmus
 
-    name, source, params, max_states, strategy = task
+    name, source, params, max_states, reduction, context_bound = task
     test = parse_litmus(source)
-    try:
-        result = run_litmus(
-            test,
-            default_model(),
-            params=params,
-            max_states=max_states,
-            strategy=strategy,
-        )
-    except ExplorationLimit as limit:
-        # A budget-exhausted test is a reportable per-test outcome, not a
-        # corpus-wide crash (e.g. IRIW+syncs exceeds the Python budget).
-        # The work done up to exhaustion still counts toward the totals.
-        return CorpusTestResult(
-            name=name if name else test.name,
-            status="StateLimit",
-            witnessed=False,
-            holds_always=False,
-            outcomes=set(),
-            stats=limit.stats if limit.stats is not None else ExplorationStats(),
-            error=str(limit),
-            complete=False,
-        )
-    complete = result.exploration.complete
+    result = run_litmus(
+        test,
+        default_model(),
+        params=params,
+        max_states=max_states,
+        reduction=reduction,
+        context_bound=context_bound,
+    )
+    exploration = result.exploration
     return CorpusTestResult(
         name=name if name else test.name,
         status=result.status,
         witnessed=result.witnessed,
         holds_always=result.holds_always,
         outcomes=result.outcomes,
-        stats=result.exploration.stats,
-        error=None if complete else "state budget exhausted (partial outcomes)",
-        complete=complete,
+        stats=exploration.stats,
+        error=exploration.stop_reason,
     )
 
 
@@ -195,21 +183,22 @@ def explore_corpus(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
+    reduction: str = "none",
+    context_bound: Optional[int] = None,
 ) -> CorpusReport:
     """Exhaustively run a corpus of litmus tests, one per worker.
 
     ``items`` is a sequence of (name, litmus source) pairs; ``jobs`` is
     the worker budget (default: usable CPU count), capped at one worker
-    per test by ``corpus_job_count``.  ``strategy`` picks the per-test
-    search backend (name or ``SearchStrategy``; default sequential DFS).
-    ``jobs=1`` (or a single test) runs inline in this process -- same
-    results, no pool overhead.
+    per test by ``corpus_job_count``.  ``reduction``/``context_bound``
+    apply to every test's search.  A test the state budget or the
+    context bound stops is reported with its partial outcomes and the
+    reason in ``error``, not raised.  ``jobs=1`` (or a single test) runs
+    inline in this process -- same results, no pool overhead.
     """
     budget = jobs if jobs is not None else default_job_count()
-    strategy = resolve_strategy(strategy)
     tasks: List[Task] = [
-        (name, source, params, max_states, strategy)
+        (name, source, params, max_states, reduction, context_bound)
         for name, source in items
     ]
     corpus_jobs = corpus_job_count(budget, len(tasks))

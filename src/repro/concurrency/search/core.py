@@ -1,9 +1,8 @@
-"""Shared machinery of the pluggable search subsystem.
+"""Shared machinery of the search subsystem.
 
 The exhaustive oracle used to live as two near-identical ~50-line DFS
 loops in ``concurrency/exhaustive.py`` (``explore`` and ``find_witness``).
-This module is the single search driver both modes -- and every strategy
-backend -- now run on:
+This module is the single search driver both modes now run on:
 
   * ``run_search`` -- the unified loop, parameterised by a *visitor*
     (``CollectOutcomes`` for explore, ``StopOnWitness`` for witness
@@ -11,14 +10,14 @@ backend -- now run on:
     witnesses), with state-budget accounting over a caller-owned seen
     set (its size is the search's ``unique_states``);
   * the result vocabulary: ``ExplorationStats`` / ``ExplorationResult``
-    (now with an explicit ``complete`` flag for budget-bounded partial
-    results), ``Witness``, ``ExplorationLimit`` (now carrying the
-    partial ``stats`` so budget exhaustion no longer zeroes the work
-    accounting), and the outcome summarisers.
+    (with a ``stop_reason`` for partial results: the state budget ran
+    out or a context bound cut a path), ``Witness``,
+    ``ExplorationLimit`` (carrying the partial ``stats`` of the search
+    it stopped), and the outcome summarisers.
 
-The sequential strategy drives this loop directly and is bit-identical
--- states visited, transitions taken, outcomes -- to the pre-refactor
-engine; the other backends recompose the same pieces.
+``SequentialDFS`` (``sequential.py``) drives this loop and is
+bit-identical -- states visited, transitions taken, outcomes -- to the
+pre-refactor engine.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ class ExplorationLimit(Exception):
     """The state budget was exhausted before the search completed.
 
     ``stats`` carries the accounting of the work done up to the point of
-    exhaustion (``None`` only for hand-raised instances), so callers can
-    fold partial searches into corpus totals instead of zeroing them.
+    exhaustion (``None`` only for hand-raised instances).
+    ``SequentialDFS.explore`` turns it into a partial result whose
+    ``stop_reason`` is this message; a witness search lets it propagate.
     """
 
     def __init__(self, message: str, stats: Optional["ExplorationStats"] = None):
@@ -79,9 +79,8 @@ class ExplorationStats:
     seconds: float = 0.0
     #: Distinct state keys deduplicated against (seen-set sizes, merged).
     #: ``states_visited`` measures work *done* -- under dpor it counts
-    #: partial revisits, and ``BoundedIterative`` sums every deepening
-    #: iteration -- while this counts states *covered*; benchmarks record
-    #: both so throughput entries stop conflating the two.
+    #: partial revisits -- while this counts states *covered*; benchmarks
+    #: record both so throughput entries stop conflating the two.
     unique_states: int = 0
     #: Transitions counted in ``transitions_taken`` whose successor key
     #: the unreduced loop took from a commuting diamond's other edge
@@ -105,10 +104,16 @@ class ExplorationResult:
     outcomes: Set[Outcome]
     stats: ExplorationStats
     deadlock_states: List[SystemState] = field(default_factory=list)
-    #: False when the search returned a *partial* outcome set because a
-    #: state budget ran out (``BoundedIterative``); the outcome set is
-    #: then a sound under-approximation, not the envelope.
-    complete: bool = True
+    #: Why the search stopped before covering its whole state graph: the
+    #: state budget's ``ExplorationLimit`` message, or the context bound
+    #: that cut a path.  ``None`` when it covered everything.
+    stop_reason: Optional[str] = None
+
+    @property
+    def complete(self) -> bool:
+        """False when the outcome set is *partial*: a sound
+        under-approximation of the envelope, not the envelope."""
+        return self.stop_reason is None
 
     def register_outcomes(self) -> Set[Tuple]:
         """Just the register parts of the outcomes."""
@@ -228,11 +233,10 @@ class CollectOutcomes:
     """Explore-mode visitor: accumulate every final state's outcomes."""
 
     def __init__(self, cells: Tuple[Tuple[int, int], ...],
-                 collect_deadlocks: bool = False,
-                 static_cache: Optional[Dict] = None):
+                 collect_deadlocks: bool = False):
         self.cells = cells
         self.collect_deadlocks = collect_deadlocks
-        self.static_cache = static_cache if static_cache is not None else {}
+        self.static_cache: Dict[int, FrozenSet[str]] = {}
         self.register_memo: Dict[Tuple, Tuple] = {}
         self.outcomes: Set[Outcome] = set()
         self.deadlock_states: List[SystemState] = []
@@ -251,11 +255,10 @@ class CollectOutcomes:
 class StopOnWitness:
     """Witness-mode visitor: stop at the first satisfying final state."""
 
-    def __init__(self, predicate, cells: Tuple[Tuple[int, int], ...],
-                 static_cache: Optional[Dict] = None):
+    def __init__(self, predicate, cells: Tuple[Tuple[int, int], ...]):
         self.predicate = predicate
         self.cells = cells
-        self.static_cache = static_cache if static_cache is not None else {}
+        self.static_cache: Dict[int, FrozenSet[str]] = {}
         self.register_memo: Dict[Tuple, Tuple] = {}
 
     def on_final(self, state: SystemState, payload):
@@ -467,7 +470,7 @@ def _run_reduced(
 
     Kept as a separate loop so the unreduced driver carries no pruning
     bookkeeping (and stays bit-identical in its counters); the
-    cross-strategy equivalence tests pin the observable agreement of the
+    reduction equivalence tests pin the observable agreement of the
     two loops.  See ``reduction`` for the pruning theory; the state/
     final/deadlock handling mirrors the plain loop exactly.  The root
     starts with an empty sleep set and no context switches.

@@ -6,7 +6,7 @@ locations, and thread-side steps of different threads that do not touch
 the same storage state.  Exploring every ordering of a commuting pair
 doubles work without ever changing the reachable outcome envelope.  This
 module supplies the two pruning mechanisms the search driver
-(``core.run_search``) applies when a strategy asks for them:
+(``core.run_search``) applies when a search asks for them:
 
 * **Sleep sets** (Godefroid).  After exploring transition ``t`` from a
   state, every sibling ``z`` that is *independent* of ``t`` enters the
@@ -24,9 +24,10 @@ module supplies the two pruning mechanisms the search driver
 * **Context bounds** (context-bounded model checking, cf. PAPERS.md).
   A path that switches the acting thread more than ``context_bound``
   times is cut.  Any pruning makes the result a partial outcome set;
-  the engine records it (``Reducer.truncated``) and strategies report
-  it through ``ExplorationResult.complete = False`` -- the same partial
-  -result protocol ``BoundedIterative`` established.
+  the engine records it (``Reducer.truncated``) and ``SequentialDFS``
+  reports it through ``ExplorationResult.stop_reason`` (so
+  ``complete = False``) -- the same partial-result shape as a search
+  whose state budget runs out.
 
 Independence relation
 ---------------------
@@ -165,8 +166,8 @@ class Reducer:
     """Per-search pruning engine: sleep sets and/or a context bound.
 
     One instance lives for the duration of one ``run_search``; it
-    carries the mutable pruning state the frozen strategy dataclasses
-    cannot: memo tables and the ``truncated`` flag that downgrades
+    carries the mutable pruning state the frozen ``SequentialDFS``
+    dataclass cannot: memo tables and the ``truncated`` flag that downgrades
     results to ``complete=False``.
     """
 

@@ -31,7 +31,6 @@ from ..isa.model import IsaModel
 from ..sail.outcomes import (
     Barrier as BarrierOutcome,
     Done as DoneOutcome,
-    Internal,
     ReadMem,
     ReadReg,
     WriteMem,
@@ -39,11 +38,10 @@ from ..sail.outcomes import (
 )
 from ..sail.values import Bits, FALSE, TRUE
 from .events import BarrierEvent, BarrierId, Write, WriteId, initial_write
-from .keys import CachedKey, intern_key
+from .keys import CachedKey
 from .params import DEFAULT_PARAMS, ModelParams
 from .storage import StorageSubsystem
 from .thread import (
-    InstructionInstance,
     Ioid,
     MemReadRecord,
     MOS_BLOCKED_REG,

@@ -26,7 +26,6 @@ from .format import (
     PT_LOAD,
     SHDR_SIZE,
     SHT_NULL,
-    SHT_PROGBITS,
     SHT_STRTAB,
     SHT_SYMTAB,
     STB_GLOBAL,

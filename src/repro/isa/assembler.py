@@ -9,7 +9,7 @@ lwsync, sldi, mflr, ...).
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .model import IsaModel
 from .spec import REG_FIELDS, SIGNED_FIELDS, InstructionSpec

@@ -10,7 +10,7 @@ round-trip property test pins down: ``emit(parse(emit(t))) == emit(t)``.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .test import (
     And,

@@ -20,7 +20,7 @@ mechanism of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .parser import parse_litmus
 from .test import LitmusTest

@@ -8,12 +8,12 @@ the test-oracle workflow of section 6 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..concurrency.exhaustive import ExplorationResult
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import build_strategy
+from ..concurrency.search import SequentialDFS
 from ..concurrency.system import SystemState
 from ..isa.assembler import Assembler
 from ..isa.model import IsaModel, default_model
@@ -44,13 +44,13 @@ class LitmusResult:
     def status(self) -> str:
         """The model's verdict in litmus terms.
 
-        A partial outcome set (budget-bounded search) is a sound
-        *under*-approximation of the envelope: outcomes in it are
-        genuinely reachable, so existential verdicts -- a witness was
-        found, or a forall condition has a concrete counterexample --
-        survive incompleteness.  Universal claims (nothing witnesses /
-        every outcome satisfies) need the whole envelope and degrade to
-        "StateLimit".
+        A partial outcome set (a search the state budget or the context
+        bound stopped) is a sound *under*-approximation of the envelope:
+        outcomes in it are genuinely reachable, so existential verdicts
+        -- a witness was found, or a forall condition has a concrete
+        counterexample -- survive incompleteness.  Universal claims
+        (nothing witnesses / every outcome satisfies) need the whole
+        envelope and degrade to "StateLimit".
         """
         if self.exploration.complete:
             if self.test.quantifier == "exists":
@@ -169,22 +169,19 @@ def run_litmus(
     model: Optional[IsaModel] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
 ) -> LitmusResult:
     """Exhaustively run one litmus test and evaluate its condition.
 
-    ``strategy`` picks the search backend (a ``SearchStrategy`` instance
-    or registry name; default sequential DFS) -- e.g.
-    ``BoundedIterative()`` returns a flagged partial outcome set where
-    the sequential search would raise ``ExplorationLimit``.
     ``reduction``/``context_bound`` apply the partial-order reduction
-    options to whichever backend runs
-    (``reduction="sleep"`` preserves the outcome envelope; a context
-    bound may truncate it, reported through ``exploration.complete`` /
-    the ``StateLimit`` status; ``reduction="dpor"`` layers source sets
-    and canonical state keys on top).
+    options (``reduction="sleep"`` preserves the outcome envelope;
+    ``reduction="dpor"`` layers source sets and canonical state keys on
+    top; a context bound may truncate it).  A search stopped by the
+    state budget or the context bound evaluates the outcomes found so
+    far: ``exploration.complete`` is False, ``exploration.stop_reason``
+    says why, and ``status`` keeps only the verdicts those outcomes
+    prove.
     """
     model = model if model is not None else default_model()
     system, addresses = build_system(test, model, params)
@@ -195,10 +192,7 @@ def run_litmus(
         (addresses[var], cell_size)
         for var in sorted(set(condition_locations(test.condition)))
     ]
-    engine = build_strategy(
-        strategy, reduction=reduction, context_bound=context_bound
-    )
-    result = engine.explore(
+    result = SequentialDFS(reduction, context_bound).explore(
         system, memory_cells=cells, max_states=max_states
     )
 
@@ -232,7 +226,6 @@ def run_corpus(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = None,
-    strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
 ):
@@ -241,12 +234,11 @@ def run_corpus(
     ``entries`` may hold ``CorpusEntry``-like objects (anything with
     ``name``/``source`` attributes) or plain ``(name, source)`` pairs;
     ``None`` runs the built-in corpus.  ``jobs`` is the worker budget
-    (default: usable CPU count), one test per worker; ``strategy`` picks
-    each test's search backend.  Returns a
+    (default: usable CPU count), one test per worker.  Returns a
     ``repro.concurrency.parallel.CorpusReport`` with per-test verdicts
     and merged ``ExplorationStats``.
     ``reduction``/``context_bound`` apply the partial-order reduction
-    options to every test's backend.
+    options to every test's search.
     """
     from ..concurrency.parallel import explore_corpus
 
@@ -265,7 +257,6 @@ def run_corpus(
         jobs=jobs,
         params=params,
         max_states=max_states,
-        strategy=build_strategy(
-            strategy, reduction=reduction, context_bound=context_bound
-        ),
+        reduction=reduction,
+        context_bound=context_bound,
     )

@@ -9,7 +9,7 @@ The condition language follows herdtools: conjunction ``/\\``, disjunction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 

@@ -23,7 +23,7 @@ resolve first, which is what allows ``LB+datas+WW``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from . import ast
 from .outcomes import (
@@ -39,9 +39,6 @@ from .outcomes import (
 )
 from .values import (
     Bits,
-    SailValueError,
-    UndefUsedError,
-    UnknownUsedError,
     bool_to_bit,
     truth,
 )

@@ -9,7 +9,7 @@ to end of line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .ast import SailSyntaxError
 

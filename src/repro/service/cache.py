@@ -15,9 +15,9 @@ Cache key
   which is a fixed point of parse-then-emit, so formatting differences
   (whitespace, instruction-column alignment, condition parenthesisation)
   never split cache entries;
-* the full parameter tuple: search-strategy name, reduction, context
-  bound, state budget, and the model-parameter fingerprint
-  (``ModelParams``) -- nothing else changes what a query computes;
+* the full parameter tuple: reduction, context bound, state budget,
+  and the model-parameter fingerprint (``ModelParams``) -- nothing else
+  changes what a query computes;
 * ``SCHEMA_VERSION`` -- bumped whenever exploration *semantics* change
   (new transitions, changed reduction soundness argument, verdict
   vocabulary), which invalidates every stale entry at once.
@@ -60,12 +60,14 @@ from ..concurrency.params import DEFAULT_PARAMS, ModelParams
 #: dropped later without a bump (SERVICE.md, "Cache key"): every key
 #: changed once, no verdict changed meaning, and rows under the old
 #: keys are never read again.
-SCHEMA_VERSION = 2
+#: 3: a search the state budget stops returns its partial outcome set,
+#: so a budget-limited verdict may be "Allowed" where it was an empty
+#: "StateLimit"; the ``strategy`` field was dropped with the same bump.
+SCHEMA_VERSION = 3
 
 
 def cache_key(
     canonical_source: str,
-    strategy: str = "sequential",
     reduction: str = "none",
     context_bound: Optional[int] = None,
     max_states: Optional[int] = None,
@@ -75,7 +77,6 @@ def cache_key(
     payload = {
         "schema": SCHEMA_VERSION,
         "test": canonical_source,
-        "strategy": strategy,
         "reduction": reduction,
         "context_bound": context_bound,
         "max_states": max_states,

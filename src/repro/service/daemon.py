@@ -76,13 +76,23 @@ INPUT_ERRORS = (
     KeyError, ValueError, TypeError, LitmusSyntaxError, AssemblerError,
 )
 
+#: Largest generated suite one job may ask for.  The suite is generated
+#: inside the request handler, so ``size`` bounds that handler's time
+#: and memory (2,000 six-thread tests took ~0.7 s on a 2-CPU container);
+#: a 1 MiB ``tests`` body holds about 1,600 such tests.
+MAX_GEN_SIZE = 2000
+
 #: A ``gen`` job spec's fields: default, range check and the rule a
 #: value must meet.  The thread and run caps are the ranges ``ppcmem2
 #: gen`` validates against the solver-backed oracle; they also bound the
 #: generator's work per sample, which grows with ``max_threads``.
 GEN_FIELDS = {
     "seed": (0, lambda v: True, "an integer"),
-    "size": (20, lambda v: v >= 1, "an integer >= 1"),
+    "size": (
+        20,
+        lambda v: 1 <= v <= MAX_GEN_SIZE,
+        f"an integer from 1 to {MAX_GEN_SIZE}",
+    ),
     "max_threads": (4, lambda v: 2 <= v <= 6, "an integer from 2 to 6"),
     "max_run": (2, lambda v: 1 <= v <= 4, "an integer from 1 to 4"),
 }

@@ -2,7 +2,7 @@
 
 Every way of asking the oracle a question -- ``ppcmem2 run`` on a file,
 the corpus runner, the testgen harness's ``check_suite``, the serve
-daemon's job queue -- used to build its own strategy/reduction/budget
+daemon's job queue -- used to build its own reduction/budget
 plumbing and call ``run_litmus``/``run_corpus`` directly.  This module
 inverts that: ``EnvelopeEngine.run_request(request) -> Verdict`` is the
 single façade, with
@@ -10,20 +10,21 @@ single façade, with
 * canonicalisation: the litmus source is parsed and re-emitted through
   ``litmus/emit.emit_litmus`` (a parse/emit fixed point), so two
   differently-formatted copies of the same test are the same query;
-* strategy construction through ``concurrency.search.build_strategy``
-  (the one shared path for ``--strategy``/``--reduction``/
-  ``--context-bound``);
 * an optional persistent ``VerdictCache``: a repeated query returns the
   stored verdict in microseconds, and any parameter change (budget,
-  reduction, strategy, ...) correctly misses because the parameters are
-  part of the key (``service.cache.cache_key``);
+  reduction, context bound, ...) correctly misses because the
+  parameters are part of the key (``service.cache.cache_key``);
 * ``run_batch`` for many requests at once, scheduling cache misses
   through the parallel corpus runner, one test per worker -- this is
   the daemon's job executor.
 
 Verdicts are plain data (JSON-serialisable via ``to_payload``), so the
 same object flows from the engine into the cache, over the daemon's
-HTTP API, and back out of ``ppcmem2 client``.
+HTTP API, and back out of ``ppcmem2 client``.  A search the state budget
+or the context bound stopped yields a verdict with ``complete=False``,
+its partial outcomes, a status those outcomes prove (an existential
+verdict survives, a universal claim becomes "StateLimit") and the
+reason in ``error``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..concurrency.params import DEFAULT_PARAMS, ModelParams
-from ..concurrency.search import REDUCTIONS, STRATEGIES, build_strategy
-from ..concurrency.search.core import ExplorationLimit, ExplorationStats
+from ..concurrency.search import REDUCTIONS
+from ..concurrency.search.core import ExplorationStats
 from .cache import VerdictCache, cache_key
 
 #: Outcome tuples as produced by the search core: hashable nested tuples.
@@ -48,10 +49,6 @@ def _is_int(value) -> bool:
 #: The JSON "options" the daemon accepts, each with a check on its value
 #: and what the value must be.
 REQUEST_OPTIONS = {
-    "strategy": (
-        lambda value: isinstance(value, str) and value in STRATEGIES,
-        f"one of {sorted(STRATEGIES)}",
-    ),
     "reduction": (
         lambda value: isinstance(value, str) and value in REDUCTIONS,
         f"one of {list(REDUCTIONS)}",
@@ -75,10 +72,8 @@ REQUEST_OPTIONS = {
 class EngineRequest:
     """One oracle query: a litmus source plus the exploration parameters.
 
-    ``strategy`` may be a registry name (the only form the daemon's JSON
-    API accepts), a pre-built ``SearchStrategy`` instance, or ``None``
-    (sequential DFS).  All other fields are plain data, so requests
-    serialise over the service protocol unchanged.
+    Every field is plain data, so requests serialise over the service
+    protocol unchanged.
 
     ``symmetry`` is accepted only as ``False``: thread-symmetry
     reduction was removed, and callers that still pass the field keep
@@ -88,7 +83,6 @@ class EngineRequest:
 
     source: str
     name: Optional[str] = None
-    strategy: Any = None
     reduction: str = "none"
     context_bound: Optional[int] = None
     symmetry: bool = False
@@ -224,7 +218,8 @@ class _Resolved:
     name: str
     test: Any  # parsed LitmusTest
     canonical_source: str
-    strategy: Any  # resolved SearchStrategy instance
+    reduction: str
+    context_bound: Optional[int]
     max_states: Optional[int]
     key: str
 
@@ -253,10 +248,6 @@ def _stats_from_dict(data: Dict[str, Any]) -> ExplorationStats:
         unique_states=data.get("unique_states", 0),
         reused_successors=data.get("reused_successors", 0),
     )
-
-
-#: ``error`` text for complete=False results, matching the corpus runner.
-_PARTIAL_ERROR = "state budget exhausted (partial outcomes)"
 
 
 class EnvelopeEngine:
@@ -288,9 +279,9 @@ class EnvelopeEngine:
     def resolve(self, request: EngineRequest) -> _Resolved:
         """Parse + canonicalise a request and derive its cache key.
 
-        The key is computed from the *resolved* strategy (name,
-        reduction, context bound after ``build_strategy`` applied the
-        request's options), so what is keyed is exactly what runs.
+        The key covers the canonical source and every search parameter
+        (reduction, context bound, budget, model parameters), so what is
+        keyed is exactly what runs.
         """
         from ..litmus.emit import emit_litmus
         from ..litmus.parser import parse_litmus
@@ -302,16 +293,10 @@ class EnvelopeEngine:
             )
         test = parse_litmus(request.source)
         canonical = emit_litmus(test)
-        strategy = build_strategy(
-            request.strategy,
-            reduction=request.reduction,
-            context_bound=request.context_bound,
-        )
         key = cache_key(
             canonical,
-            strategy=strategy.name,
-            reduction=strategy.reduction,
-            context_bound=strategy.context_bound,
+            reduction=request.reduction,
+            context_bound=request.context_bound,
             max_states=request.max_states,
             params=self.params,
         )
@@ -319,7 +304,8 @@ class EnvelopeEngine:
             name=request.name or test.name,
             test=test,
             canonical_source=canonical,
-            strategy=strategy,
+            reduction=request.reduction,
+            context_bound=request.context_bound,
             max_states=request.max_states,
             key=key,
         )
@@ -346,9 +332,9 @@ class EnvelopeEngine:
     ) -> BatchResult:
         """Answer many requests, fanning cache misses across workers.
 
-        Misses are grouped by their (strategy, budget) parameter tuple
-        and each group runs through the parallel corpus runner, one test
-        per worker within the ``jobs`` budget.  Verdict order matches
+        Misses are grouped by their (reduction, context bound, budget)
+        parameter tuple and each group runs through the parallel corpus
+        runner, one test per worker within the ``jobs`` budget.  Verdict order matches
         request order.
         """
         from ..concurrency.parallel import explore_corpus
@@ -365,10 +351,12 @@ class EnvelopeEngine:
         miss_groups: Dict[Tuple, List[int]] = {}
         for i, res in enumerate(resolved):
             if verdicts[i] is None:
-                group = (res.strategy, res.max_states)
+                group = (res.reduction, res.context_bound, res.max_states)
                 miss_groups.setdefault(group, []).append(i)
         report_jobs = 1
-        for (strategy, max_states), indexes in miss_groups.items():
+        for (reduction, context_bound, max_states), indexes in (
+            miss_groups.items()
+        ):
             report = explore_corpus(
                 [
                     (resolved[i].name, resolved[i].canonical_source)
@@ -377,7 +365,8 @@ class EnvelopeEngine:
                 jobs=jobs,
                 params=self.params,
                 max_states=max_states,
-                strategy=strategy,
+                reduction=reduction,
+                context_bound=context_bound,
             )
             report_jobs = max(report_jobs, report.jobs)
             for i, result in zip(indexes, report.results):
@@ -407,41 +396,26 @@ class EnvelopeEngine:
     def _explore(self, resolved: _Resolved) -> Verdict:
         from ..litmus.runner import run_litmus
 
-        try:
-            result = run_litmus(
-                resolved.test,
-                self.model,
-                params=self.params,
-                max_states=resolved.max_states,
-                strategy=resolved.strategy,
-            )
-        except ExplorationLimit as limit:
-            stats = limit.stats if limit.stats is not None else ExplorationStats()
-            return Verdict(
-                name=resolved.name,
-                status="StateLimit",
-                quantifier=resolved.test.quantifier,
-                witnessed=False,
-                holds_always=False,
-                complete=False,
-                outcomes=frozenset(),
-                outcome_lines=(),
-                stats=_stats_to_dict(stats),
-                error=str(limit),
-                key=resolved.key,
-            )
-        complete = result.exploration.complete
+        result = run_litmus(
+            resolved.test,
+            self.model,
+            params=self.params,
+            max_states=resolved.max_states,
+            reduction=resolved.reduction,
+            context_bound=resolved.context_bound,
+        )
+        exploration = result.exploration
         return Verdict(
             name=resolved.name,
             status=result.status,
             quantifier=resolved.test.quantifier,
             witnessed=result.witnessed,
             holds_always=result.holds_always,
-            complete=complete,
+            complete=exploration.complete,
             outcomes=frozenset(result.outcomes),
             outcome_lines=tuple(result.outcome_table()),
-            stats=_stats_to_dict(result.exploration.stats),
-            error=None if complete else _PARTIAL_ERROR,
+            stats=_stats_to_dict(exploration.stats),
+            error=exploration.stop_reason,
             key=resolved.key,
         )
 
@@ -466,7 +440,7 @@ class EnvelopeEngine:
                 exploration=ExplorationResult(
                     outcomes=set(result.outcomes),
                     stats=result.stats,
-                    complete=result.complete,
+                    stop_reason=result.error,
                 ),
                 addresses=addresses_for(resolved.test),
             )

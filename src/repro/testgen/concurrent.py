@@ -42,8 +42,10 @@ Cycle-level expectations:
 ``check_suite`` runs a generated suite through the exhaustive explorer
 (via the parallel corpus runner) and reports every test whose verdict
 contradicts its expectation; each check records which oracle tier
-decided it (``OracleCheck.oracle``), and state-budget exhaustion is
-reported as a skip, not a violation.
+decided it (``OracleCheck.oracle``).  A search the state budget stops
+still checks the verdict its partial outcomes prove (an "Allowed"
+witness); only a "StateLimit" verdict is reported as a skip, not a
+violation.
 """
 
 from __future__ import annotations
@@ -342,7 +344,6 @@ def check_suite(
     jobs: Optional[int] = None,
     params: ModelParams = DEFAULT_PARAMS,
     max_states: Optional[int] = 150_000,
-    strategy=None,
     reduction: str = "none",
     context_bound: Optional[int] = None,
     engine=None,
@@ -353,15 +354,15 @@ def check_suite(
     (``repro.service.EnvelopeEngine.run_batch``): tests run one per
     worker within a ``jobs`` worker budget, and -- when ``engine``
     carries a ``VerdictCache`` -- previously-decided tests are answered
-    from the cache instead of re-explored.  ``strategy`` picks each
-    test's search backend (``BoundedIterative`` turns combinatorial
-    blowups into partial-outcome "StateLimit" skips with real work
-    accounting); ``max_states`` bounds each test's exploration (blowups
-    become skips, not failures).  ``reduction="sleep"`` prunes commuting
-    interleavings while preserving every verdict; ``context_bound`` trades
-    completeness for speed (truncated tests degrade to "StateLimit"
-    skips like budget exhaustion does).  ``reduction="dpor"`` layers
-    source sets and canonical state keys on top of sleep sets.
+    from the cache instead of re-explored.  ``max_states`` bounds each
+    test's exploration: a blowup keeps the outcomes found before the
+    budget ran out, so a witness among them is still checked against
+    the expectation, and a universal claim becomes a "StateLimit" skip,
+    not a failure.  ``reduction="sleep"`` prunes commuting
+    interleavings while preserving every verdict; ``context_bound``
+    trades completeness for speed (a truncated test keeps its partial
+    outcomes the same way).  ``reduction="dpor"`` layers source sets and
+    canonical state keys on top of sleep sets.
     """
     from ..service.engine import EngineRequest, EnvelopeEngine
 
@@ -371,7 +372,6 @@ def check_suite(
         EngineRequest(
             source=test.source,
             name=test.name,
-            strategy=strategy,
             reduction=reduction,
             context_bound=context_bound,
             max_states=max_states,

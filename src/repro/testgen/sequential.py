@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..isa.model import DecodedInstruction, IsaModel
 from ..isa.spec import InstructionSpec

@@ -15,15 +15,16 @@ Modes:
   * ``ppcmem2 elf BINARY``               -- sequential execution of an ELF
 
 The oracle verbs are thin clients of the shared service engine
-(``repro.service.EnvelopeEngine``): ``run``, ``corpus``, ``litmus`` and
-``gen`` take ``--strategy {sequential,bounded}`` to pick the search
-backend; ``corpus``, ``litmus`` and ``gen --check`` spread their tests
-one per worker process (``--jobs N``).  All four also take
+(``repro.service.EnvelopeEngine``); ``corpus``, ``litmus`` and
+``gen --check`` spread their tests one per worker process
+(``--jobs N``).  ``run``, ``corpus``, ``litmus`` and ``gen`` take
 ``--reduction {sleep,dpor}`` (verdict-preserving partial-order
 reduction; ``dpor`` layers source sets and canonical state keys on top
 of sleep sets), ``--context-bound N`` (sound under-approximation) and
 ``--cache PATH`` (persistent verdict cache: repeated queries are
-answered in microseconds).
+answered in microseconds).  A test whose search the state budget or the
+context bound stops reports the verdict its partial outcomes prove
+("StateLimit" for a universal claim) and why it did not complete.
 
 The interactive mode shows Fig. 3-style system states: storage subsystem
 contents (writes seen, coherence, propagation lists, unacknowledged syncs)
@@ -37,7 +38,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..concurrency.search import REDUCTIONS, STRATEGIES
+from ..concurrency.search import REDUCTIONS
 from ..litmus.library import corpus
 from ..litmus.parser import parse_litmus
 from ..litmus.runner import build_system
@@ -53,14 +54,7 @@ def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy",
-        choices=sorted(STRATEGIES),
-        default="sequential",
-        help="search backend: sequential DFS or bounded iterative "
-        "deepening (default sequential)",
-    )
+def _add_search_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reduction",
         choices=REDUCTIONS,
@@ -77,16 +71,6 @@ def _add_strategy_args(parser: argparse.ArgumentParser) -> None:
         help="cut paths with more than N context switches; the result "
         "becomes a sound under-approximation (StateLimit on "
         "universal claims)",
-    )
-
-
-def _strategy_from(args):
-    from ..concurrency.search import build_strategy
-
-    return build_strategy(
-        args.strategy,
-        reduction=args.reduction,
-        context_bound=args.context_bound,
     )
 
 
@@ -108,7 +92,8 @@ def _request_for(source, name, args, max_states=None):
     return EngineRequest(
         source=source,
         name=name,
-        strategy=_strategy_from(args),
+        reduction=args.reduction,
+        context_bound=args.context_bound,
         max_states=max_states,
     )
 
@@ -122,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     run_parser = sub.add_parser("run", help="exhaustively run a litmus test")
     run_parser.add_argument("test", help="path to a .litmus file")
-    _add_strategy_args(run_parser)
+    _add_search_args(run_parser)
     _add_cache_arg(run_parser)
 
     inter_parser = sub.add_parser(
@@ -139,7 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1,
         help="number of worker processes (default 1: run in-process)",
     )
-    _add_strategy_args(corpus_parser)
+    _add_search_args(corpus_parser)
     _add_cache_arg(corpus_parser)
 
     litmus_parser = sub.add_parser(
@@ -163,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     litmus_parser.add_argument(
         "--max-states", type=int, default=None, help="state budget per test"
     )
-    _add_strategy_args(litmus_parser)
+    _add_search_args(litmus_parser)
     _add_cache_arg(litmus_parser)
 
     gen_parser = sub.add_parser(
@@ -210,7 +195,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=150000,
         help="state budget per test for --check (default 150000)",
     )
-    _add_strategy_args(gen_parser)
+    _add_search_args(gen_parser)
     _add_cache_arg(gen_parser)
 
     serve_parser = sub.add_parser(
@@ -251,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     client_run.add_argument("test", help="path to a .litmus file")
     client_run.add_argument("--max-states", type=int, default=None)
-    _add_strategy_args(client_run)
+    _add_search_args(client_run)
     client_submit = client_sub.add_parser(
         "submit", help="submit a batch job (async; --wait polls for results)"
     )
@@ -270,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--wait", action="store_true", help="poll until done, print verdicts"
     )
     client_submit.add_argument("--timeout", type=float, default=600.0)
-    _add_strategy_args(client_submit)
+    _add_search_args(client_submit)
     client_status = client_sub.add_parser("status", help="poll a job")
     client_status.add_argument("job", help="job id from submit")
     client_results = client_sub.add_parser(
@@ -405,7 +390,7 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
         ],
         jobs=jobs,
     )
-    exhausted = 0
+    incomplete = 0
     for verdict in batch.verdicts:
         stats = verdict.stats
         cached = " [cached]" if verdict.cached else ""
@@ -416,7 +401,7 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
             f"time={stats['seconds']:.2f}s{cached}"
         )
         if verdict.error:
-            exhausted += 1
+            incomplete += 1
             print(f"  !! {verdict.error}")
     merged = batch.merged_stats()
     print(
@@ -433,8 +418,8 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
     )
     if engine.cache is not None:
         print(f"cache: {batch.hits} hit(s), {batch.misses} miss(es)")
-    if exhausted:
-        print(f"{exhausted} test(s) exhausted the state budget")
+    if incomplete:
+        print(f"{incomplete} test(s) did not complete")
         return 1
     return 0
 
@@ -481,7 +466,8 @@ def _cmd_gen(args) -> int:
         tests,
         jobs=args.jobs,
         max_states=args.max_states,
-        strategy=_strategy_from(args),
+        reduction=args.reduction,
+        context_bound=args.context_bound,
         **extra,
     )
     # Diagnostics go to stderr: stdout stays a clean litmus stream.
@@ -510,10 +496,8 @@ def _cmd_gen(args) -> int:
 
 
 def _client_options(args) -> dict:
-    """JSON-safe engine options from the shared strategy flags."""
+    """JSON-safe engine options from the shared search flags."""
     options = {}
-    if args.strategy != "sequential":
-        options["strategy"] = args.strategy
     if args.reduction != "none":
         options["reduction"] = args.reduction
     if args.context_bound is not None:

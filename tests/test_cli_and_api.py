@@ -67,7 +67,8 @@ class TestCli:
         from repro.testgen import concurrent
 
         def fake_check_suite(tests, jobs=None, max_states=None,
-                             strategy=None, params=None):
+                             reduction="none", context_bound=None,
+                             params=None):
             checks = [
                 concurrent.OracleCheck(
                     name=test.name,

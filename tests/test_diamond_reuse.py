@@ -18,11 +18,9 @@ from typing import List, Optional, Set, Tuple
 import pytest
 
 from repro.concurrency.search import (
-    BoundedIterative,
     ExplorationLimit,
     ExplorationStats,
     SequentialDFS,
-    bounded,
     core,
     sequential,
 )
@@ -129,14 +127,10 @@ def reference_run_search(initial, visitor, *, limit, stats,
     return None
 
 
-#: Every module that binds ``run_search`` for a strategy to call.
-_DRIVER_MODULES = (sequential, bounded)
-
-
 @contextmanager
 def reference_search():
     """Run every unreduced search through ``reference_run_search``."""
-    originals = [module.run_search for module in _DRIVER_MODULES]
+    original = sequential.run_search
 
     def dispatch(initial, visitor, *, reducer=None, canon=None, **options):
         if reducer is None:
@@ -145,13 +139,11 @@ def reference_search():
             initial, visitor, reducer=reducer, canon=canon, **options
         )
 
-    for module in _DRIVER_MODULES:
-        module.run_search = dispatch
+    sequential.run_search = dispatch
     try:
         yield
     finally:
-        for module, original in zip(_DRIVER_MODULES, originals):
-            module.run_search = original
+        sequential.run_search = original
 
 
 class ReuseCheck:
@@ -220,32 +212,29 @@ def _counts(stats: ExplorationStats):
     )
 
 
-def _explore(test, model, strategy, budget):
-    """(outcomes or "limit", work counts, reused successors)."""
+def _explore(test, model, search, budget):
+    """(outcomes and completeness, work counts, reused successors)."""
     system, addresses = build_system(test, model)
-    try:
-        result = strategy.explore(
-            system, memory_cells=_cells(test, addresses), max_states=budget
-        )
-    except ExplorationLimit as exc:
-        return "limit", _counts(exc.stats), exc.stats.reused_successors
+    result = search.explore(
+        system, memory_cells=_cells(test, addresses), max_states=budget
+    )
     stats = result.stats
     return (
-        (result.outcomes, result.complete),
+        (result.outcomes, result.stop_reason),
         _counts(stats),
         stats.reused_successors,
     )
 
 
-def _against_reference(tests, model, strategy, budget):
+def _against_reference(tests, model, search, budget):
     """Explore each test with reuse and with the reference; returns the
     total reused successors after asserting identical results."""
     reused = 0
     for test in tests:
-        outcome, counts, reused_here = _explore(test, model, strategy, budget)
+        outcome, counts, reused_here = _explore(test, model, search, budget)
         with reference_search():
             expected, expected_counts, none = _explore(
-                test, model, strategy, budget
+                test, model, search, budget
             )
         assert none == 0
         assert (outcome, counts) == (expected, expected_counts), test.name
@@ -273,16 +262,6 @@ def test_generated_suite(compared, model):
         )
     ]
     assert _against_reference(tests, model, SequentialDFS(), 1500) > 0
-    compared.assert_clean()
-
-
-def test_bounded_iterative(compared, model):
-    tests = [
-        by_name(name).parse()
-        for name in ("MP+syncs", "2+2W+lwsyncs", "ATOM-base", "WRC+sync+addr")
-    ]
-    strategy = BoundedIterative(initial_budget=64)
-    assert _against_reference(tests, model, strategy, 2000) > 0
     compared.assert_clean()
 
 
@@ -348,13 +327,10 @@ class TestReusedSuccessorCounter:
             test = entry.parse()
             system, addresses = build_system(test, model)
             calls[0] = 0
-            try:
-                stats = SequentialDFS().explore(
-                    system, memory_cells=_cells(test, addresses),
-                    max_states=500,
-                ).stats
-            except ExplorationLimit as exc:
-                stats = exc.stats
+            stats = SequentialDFS().explore(
+                system, memory_cells=_cells(test, addresses),
+                max_states=500,
+            ).stats
             assert stats.transitions_taken - stats.reused_successors == (
                 calls[0]
             ), entry.name
@@ -366,13 +342,10 @@ class TestReusedSuccessorCounter:
         for entry in corpus():
             test = entry.parse()
             system, addresses = build_system(test, model)
-            try:
-                stats = SequentialDFS(reduction=reduction).explore(
-                    system, memory_cells=_cells(test, addresses),
-                    max_states=500,
-                ).stats
-            except ExplorationLimit as exc:
-                stats = exc.stats
+            stats = SequentialDFS(reduction=reduction).explore(
+                system, memory_cells=_cells(test, addresses),
+                max_states=500,
+            ).stats
             assert stats.transitions_taken > 0
             assert stats.reused_successors == 0, entry.name
 

@@ -1,16 +1,18 @@
-"""Cross-strategy equivalence for the pluggable search subsystem.
+"""The search backend and its one partial-result contract.
 
-Every backend must answer the oracle questions identically:
+``SequentialDFS`` is the only search backend:
 
-  * ``SequentialDFS`` stays bit-identical (states visited, transitions
-    taken, outcomes) to the pre-refactor engine -- pinned against the
-    recorded seed-baseline counters;
-  * ``BoundedIterative`` (ample budget) produces verdicts and outcome
-    sets identical to ``SequentialDFS`` for the curated corpus and a
-    seed-0 sample of generated tests;
-  * ``BoundedIterative`` degrades to a *flagged partial* result instead
-    of raising, and ``ExplorationLimit`` carries the partial stats so
-    budget exhaustion no longer zeroes work accounting.
+  * it stays bit-identical (states visited, transitions taken,
+    outcomes) to the pre-refactor engine -- pinned against the recorded
+    seed-baseline counters;
+  * a search the state budget stops returns the outcomes found so far
+    flagged ``complete=False`` (``stop_reason`` is the budget's
+    ``ExplorationLimit`` message, ``states_visited`` equals the budget)
+    instead of raising.  Those outcomes are real executions: a subset of
+    the complete search's, with the complete verdict or "StateLimit" --
+    checked on the curated corpus and a seed-0 generated sample, with and
+    without reduction;
+  * an exhausted witness search still raises ``ExplorationLimit``.
 
 The heavier 3-4-thread curated shapes run under the ``slow`` marker; the
 full slow sweep is opt-in via ``PPCMEM2_SEARCH_FULL=1``.
@@ -20,14 +22,9 @@ import os
 
 import pytest
 
-from repro.concurrency.exhaustive import ExplorationLimit, explore, find_witness
+from repro.concurrency.exhaustive import ExplorationLimit, explore
 from repro.concurrency.parallel import corpus_job_count, default_job_count
-from repro.concurrency.search import (
-    BoundedIterative,
-    SequentialDFS,
-    make_strategy,
-    resolve_strategy,
-)
+from repro.concurrency.search import SequentialDFS
 from repro.isa.model import default_model
 from repro.litmus.library import by_name, corpus
 from repro.litmus.runner import build_system, run_corpus, run_litmus
@@ -46,47 +43,61 @@ FAST_NAMES = sorted(e.name for e in corpus() if e.name not in SLOW)
 SLOW_SAMPLE = ["WRC+sync+addr", "2+2W+syncs", "LB+addrs+WW"]
 SLOW_FULL = sorted(SLOW - {"IRIW+syncs"})
 
-STRATEGIES = [BoundedIterative()]
-
 
 @pytest.fixture(scope="module")
 def model():
     return default_model()
 
 
-def _assert_equivalent(name, model):
+def _assert_cut_agrees(test, model, reference, **options):
+    """Cut the search at half its complete size: the partial result must
+    agree with ``reference`` (a complete unreduced search of the same
+    test).
+
+    The cut search visits exactly the budget, keeps a subset of the
+    envelope, and its status is the complete verdict or "StateLimit".
+    """
+    full = run_litmus(test, model, **options) if options else reference
+    assert full.exploration.complete, test.name
+    budget = max(1, full.exploration.stats.states_visited // 2)
+    cut = run_litmus(test, model, max_states=budget, **options)
+    label = f"{test.name} at {budget} states"
+    exploration = cut.exploration
+    assert not exploration.complete, label
+    assert exploration.stop_reason.startswith(f"exceeded {budget} states")
+    assert exploration.stats.states_visited == budget, label
+    assert cut.outcomes <= reference.outcomes, label
+    assert cut.status in (reference.status, "StateLimit"), label
+    return cut
+
+
+def _assert_partial_agrees(name, model):
     test = by_name(name).parse()
-    reference = run_litmus(test, model)  # SequentialDFS default
-    assert reference.exploration.complete
-    for strategy in STRATEGIES:
-        result = run_litmus(test, model, strategy=strategy)
-        label = f"{name} via {strategy.name}"
-        assert result.exploration.complete, label
-        assert result.status == reference.status, label
-        assert result.outcomes == reference.outcomes, label
-        assert result.witnessed == reference.witnessed, label
-        assert result.holds_always == reference.holds_always, label
+    _assert_cut_agrees(test, model, run_litmus(test, model))
 
 
 class TestCuratedCorpusEquivalence:
+    """Every curated test: a budget-cut search agrees with the complete
+    one (see ``_assert_cut_agrees``)."""
+
     @pytest.mark.parametrize("name", FAST_NAMES)
     def test_fast_entries(self, model, name):
-        _assert_equivalent(name, model)
+        _assert_partial_agrees(name, model)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", SLOW_SAMPLE)
     def test_slow_sample_entries(self, model, name):
-        _assert_equivalent(name, model)
+        _assert_partial_agrees(name, model)
 
     @pytest.mark.slow
     @pytest.mark.skipif(
         not os.environ.get("PPCMEM2_SEARCH_FULL"),
-        reason="full slow-corpus strategy sweep is opt-in "
+        reason="full slow-corpus partial-result sweep is opt-in "
         "(PPCMEM2_SEARCH_FULL=1)",
     )
     @pytest.mark.parametrize("name", sorted(set(SLOW_FULL) - set(SLOW_SAMPLE)))
     def test_slow_full_sweep(self, model, name):
-        _assert_equivalent(name, model)
+        _assert_partial_agrees(name, model)
 
 
 class TestGeneratedSampleEquivalence:
@@ -97,11 +108,7 @@ class TestGeneratedSampleEquivalence:
         assert len(tests) == 8
         for generated in tests:
             reference = run_litmus(generated.test, model)
-            for strategy in STRATEGIES:
-                result = run_litmus(generated.test, model, strategy=strategy)
-                label = f"{generated.name} via {strategy.name}"
-                assert result.status == reference.status, label
-                assert result.outcomes == reference.outcomes, label
+            _assert_cut_agrees(generated.test, model, reference)
 
 
 class TestSequentialBitIdentity:
@@ -123,25 +130,19 @@ class TestSequentialBitIdentity:
         assert stats.transitions_taken == transitions
         assert stats.final_states == finals
 
-    def test_facade_strategy_parameter(self, model):
-        system, _ = build_system(by_name("MP").parse(), model)
-        default = explore(system)
-        named = explore(system, strategy="sequential")
-        bounded = explore(system, strategy=BoundedIterative(initial_budget=8))
-        assert named.outcomes == default.outcomes
-        assert named.stats.states_visited == default.stats.states_visited
-        assert bounded.outcomes == default.outcomes
-
 
 class TestWitnessEquivalence:
+    """Witness searches, unreduced and under an ample context bound
+    (the pruning loop, with a bound that cuts nothing on MP)."""
+
+    SEARCHES = [SequentialDFS(), SequentialDFS(context_bound=64)]
+
     @pytest.mark.parametrize(
-        "strategy",
-        [SequentialDFS(), BoundedIterative(initial_budget=64)],
-        ids=lambda s: s.name,
+        "search", SEARCHES, ids=["sequential", "bounded"]
     )
-    def test_witness_found_and_replayable(self, model, strategy):
+    def test_witness_found_and_replayable(self, model, search):
         system, _ = build_system(by_name("MP").parse(), model)
-        witness = strategy.find_witness(system, lambda outcome: True)
+        witness = search.find_witness(system, lambda outcome: True)
         assert witness is not None
         trace, final = witness
         assert final.is_final()
@@ -154,26 +155,25 @@ class TestWitnessEquivalence:
         assert state.is_final()
 
     @pytest.mark.parametrize(
-        "strategy",
-        [SequentialDFS(), BoundedIterative()],
-        ids=lambda s: s.name,
+        "search", SEARCHES, ids=["sequential", "bounded"]
     )
-    def test_unsatisfiable_predicate(self, model, strategy):
+    def test_unsatisfiable_predicate(self, model, search):
         system, _ = build_system(by_name("MP").parse(), model)
-        assert strategy.find_witness(system, lambda outcome: False) is None
+        assert search.find_witness(system, lambda outcome: False) is None
 
 
 class TestBoundedDegradation:
+    """A search the state budget stops returns a flagged partial result."""
+
     def test_partial_result_is_flagged_not_raised(self, model):
         test = by_name("SB+syncs").parse()
-        result = run_litmus(
-            test, model,
-            strategy=BoundedIterative(initial_budget=64),
-            max_states=200,
-        )
+        result = run_litmus(test, model, max_states=200)
         assert result.status == "StateLimit"
         assert not result.exploration.complete
-        assert result.exploration.stats.states_visited > 0
+        assert result.exploration.stop_reason == (
+            "exceeded 200 states; increase params.max_states"
+        )
+        assert result.exploration.stats.states_visited == 200
         full = run_litmus(test, model)
         # Partial outcome sets under-approximate the envelope.
         assert result.outcomes <= full.outcomes
@@ -183,37 +183,45 @@ class TestBoundedDegradation:
         existential verdict found within the budget survives
         incompleteness instead of degrading to StateLimit."""
         test = by_name("MP").parse()  # exists-test, witness found early
-        result = run_litmus(
-            test, model,
-            strategy=BoundedIterative(initial_budget=80),
-            max_states=80,
-        )
+        result = run_litmus(test, model, max_states=80)
         assert not result.exploration.complete
         assert result.witnessed
         assert result.status == "Allowed"
 
     def test_partial_without_witness_stays_statelimit(self, model):
         test = by_name("MP").parse()
-        result = run_litmus(
-            test, model,
-            strategy=BoundedIterative(initial_budget=40),
-            max_states=40,
-        )
+        result = run_litmus(test, model, max_states=40)
         assert not result.exploration.complete
         assert not result.witnessed
         assert result.status == "StateLimit"
 
     def test_ample_budget_is_complete_and_identical(self, model):
         test = by_name("MP").parse()
-        bounded = run_litmus(test, model, strategy=BoundedIterative())
+        budgeted = run_litmus(test, model, max_states=10_000)
         reference = run_litmus(test, model)
-        assert bounded.exploration.complete
-        assert bounded.outcomes == reference.outcomes
-        # MP fits the first budget: the work accounting is identical too.
+        assert budgeted.exploration.complete
+        assert budgeted.exploration.stop_reason is None
+        assert budgeted.outcomes == reference.outcomes
         assert (
-            bounded.exploration.stats.states_visited
+            budgeted.exploration.stats.states_visited
             == reference.exploration.stats.states_visited
         )
+
+
+class TestPartialVerdicts:
+    """The curated tests a 500-state budget stops, whose partial outcome
+    sets already witness the architected "Allowed" (the corpus-plain
+    benchmark's budget)."""
+
+    @pytest.mark.parametrize(
+        "name", ["PPOCA", "SB+lwsyncs", "R", "S", "2+2W", "WRC"]
+    )
+    def test_allowed_within_500_states(self, model, name):
+        entry = by_name(name)
+        result = run_litmus(entry.parse(), model, max_states=500)
+        assert not result.exploration.complete
+        assert result.exploration.stats.states_visited == 500
+        assert result.status == entry.architected == "Allowed"
 
 
 class TestBoundedWitnessSoundness:
@@ -221,29 +229,30 @@ class TestBoundedWitnessSoundness:
         """An inconclusive witness search must not look like a proof."""
         system, _ = build_system(by_name("SB+syncs").parse(), model)
         with pytest.raises(ExplorationLimit) as excinfo:
-            BoundedIterative(initial_budget=16).find_witness(
+            SequentialDFS().find_witness(
                 system, lambda outcome: False, max_states=50
             )
         assert excinfo.value.stats is not None
-        assert excinfo.value.stats.states_visited > 0
+        assert excinfo.value.stats.states_visited == 50
 
 
 class TestPartialStatsAccounting:
     def test_exploration_limit_carries_stats(self, model):
         system, _ = build_system(by_name("SB+syncs").parse(), model)
-        with pytest.raises(ExplorationLimit) as excinfo:
-            explore(system, max_states=100)
-        assert excinfo.value.stats is not None
+        result = explore(system, max_states=100)
+        assert result.complete is False
+        assert result.stop_reason.startswith("exceeded 100 states")
         # The budget is checked *before* a state is popped and counted:
         # partial stats equal the budget exactly (regression: the old
         # loop counted first and reported 101).
-        assert excinfo.value.stats.states_visited == 100
+        assert result.stats.states_visited == 100
 
     def test_reduced_limit_stats_equal_budget(self, model):
         system, _ = build_system(by_name("SB+syncs").parse(), model)
-        with pytest.raises(ExplorationLimit) as excinfo:
-            explore(system, max_states=100, reduction="sleep")
-        assert excinfo.value.stats.states_visited == 100
+        for reduction in ("sleep", "dpor"):
+            result = explore(system, max_states=100, reduction=reduction)
+            assert result.complete is False, reduction
+            assert result.stats.states_visited == 100, reduction
 
     def test_corpus_totals_count_exhausted_work(self, model):
         entry = by_name("SB+syncs")
@@ -298,46 +307,29 @@ class TestWorkerBudgetComposition:
                 assert jobs <= max(test_count, 1), (budget, test_count, jobs)
 
 
-class TestStrategyResolution:
-    def test_resolve_none_is_sequential(self):
-        assert isinstance(resolve_strategy(None), SequentialDFS)
-
-    def test_resolve_instance_passthrough(self):
-        strategy = BoundedIterative(initial_budget=3)
-        assert resolve_strategy(strategy) is strategy
-
-    def test_make_by_name_with_options(self):
-        strategy = make_strategy("bounded", initial_budget=5)
-        assert strategy == BoundedIterative(initial_budget=5)
-        assert isinstance(make_strategy("sequential"), SequentialDFS)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown search strategy"):
-            make_strategy("quantum")
-        with pytest.raises(TypeError):
-            resolve_strategy(42)
-
-    def test_sharded_is_not_a_strategy(self):
-        with pytest.raises(ValueError) as excinfo:
-            make_strategy("sharded")
-        assert "'bounded'" in str(excinfo.value)
-        assert "'sequential'" in str(excinfo.value)
-
-    def test_strategies_are_picklable(self):
-        import pickle
-
-        for strategy in (SequentialDFS(),
-                         BoundedIterative(initial_budget=128)):
-            clone = pickle.loads(pickle.dumps(strategy))
-            assert clone == strategy
+def _reduction_matrix(model, reduction, cut):
+    """MP, SB+syncs and R under ``reduction``: complete and identical to
+    the unreduced search, or (``cut``) stopped at half the reduced
+    search's states with a partial result that agrees with it."""
+    for name in ("MP", "SB+syncs", "R"):
+        test = by_name(name).parse()
+        reference = run_litmus(test, model)
+        if cut:
+            _assert_cut_agrees(test, model, reference, reduction=reduction)
+            continue
+        reduced = run_litmus(test, model, reduction=reduction)
+        label = f"{name} under {reduction}"
+        assert reduced.exploration.complete, label
+        assert reduced.status == reference.status, label
+        assert reduced.outcomes == reference.outcomes, label
 
 
 class TestReductionEquivalence:
     """Sleep-set reduction preserves the verdict and the outcome set.
 
-    The matrix crosses reduction on/off with every backend: outcome
-    sets must be bit-identical to unreduced ``SequentialDFS`` on the
-    curated corpus and a seed-0 generated sample.
+    Outcome sets must be bit-identical to the unreduced search on the
+    curated corpus and a seed-0 generated sample; a reduced search the
+    budget cuts keeps a subset of them.
     """
 
     @pytest.mark.parametrize("name", FAST_NAMES)
@@ -350,22 +342,9 @@ class TestReductionEquivalence:
         assert reduced.outcomes == reference.outcomes, name
         assert reduced.witnessed == reference.witnessed, name
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [None, BoundedIterative()],
-        ids=lambda s: "sequential" if s is None else s.name,
-    )
-    def test_strategy_matrix(self, model, strategy):
-        for name in ("MP", "SB+syncs", "R"):
-            test = by_name(name).parse()
-            reference = run_litmus(test, model)
-            reduced = run_litmus(
-                test, model, strategy=strategy, reduction="sleep"
-            )
-            label = f"{name} reduced via {strategy}"
-            assert reduced.exploration.complete, label
-            assert reduced.status == reference.status, label
-            assert reduced.outcomes == reference.outcomes, label
+    @pytest.mark.parametrize("cut", [False, True], ids=["sequential", "bounded"])
+    def test_strategy_matrix(self, model, cut):
+        _reduction_matrix(model, "sleep", cut)
 
     def test_gen_seed0_sample(self, model):
         from repro.litmus import diy
@@ -406,8 +385,8 @@ class TestDporEquivalence:
 
     ``reduction="dpor"`` must answer every oracle question identically
     to the unreduced reference on the curated corpus and a seed-0
-    generated sample, for both backends (``SequentialDFS`` and
-    ``BoundedIterative``).
+    generated sample; a dpor search the budget cuts keeps a subset of
+    the outcomes.
     """
 
     @pytest.mark.parametrize("name", FAST_NAMES)
@@ -420,22 +399,9 @@ class TestDporEquivalence:
         assert reduced.outcomes == reference.outcomes, name
         assert reduced.witnessed == reference.witnessed, name
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [None, BoundedIterative()],
-        ids=lambda s: "sequential" if s is None else s.name,
-    )
-    def test_strategy_matrix(self, model, strategy):
-        for name in ("MP", "SB+syncs", "R"):
-            test = by_name(name).parse()
-            reference = run_litmus(test, model)
-            reduced = run_litmus(
-                test, model, strategy=strategy, reduction="dpor"
-            )
-            label = f"{name} dpor via {strategy}"
-            assert reduced.exploration.complete, label
-            assert reduced.status == reference.status, label
-            assert reduced.outcomes == reference.outcomes, label
+    @pytest.mark.parametrize("cut", [False, True], ids=["sequential", "bounded"])
+    def test_strategy_matrix(self, model, cut):
+        _reduction_matrix(model, "dpor", cut)
 
     def test_gen_seed0_sample(self, model):
         from repro.litmus import diy
@@ -561,14 +527,6 @@ def _reference_events_component(storage):
     return tuple(parts)
 
 
-def _run_budgeted(test, model, **options):
-    """``run_litmus``; a search stopped by its budget still ran."""
-    try:
-        return run_litmus(test, model, **options)
-    except ExplorationLimit:
-        return None
-
-
 class TestNormalFormReference:
     """The memoised normal-form encoding equals the reference on every
     call of a dpor search."""
@@ -594,7 +552,7 @@ class TestNormalFormReference:
 
     def test_curated(self, model, calls):
         for name in self.NAMES:
-            _run_budgeted(
+            run_litmus(
                 by_name(name).parse(), model, max_states=3000,
                 reduction="dpor",
             )
@@ -604,7 +562,7 @@ class TestNormalFormReference:
         from repro.litmus import diy
 
         for generated in diy.generate(0, 8, max_threads=3):
-            _run_budgeted(
+            run_litmus(
                 generated.test, model, max_states=3000, reduction="dpor",
             )
         assert calls["calls"] > 0
@@ -706,7 +664,7 @@ class TestWriteFootprintInvariant:
         ]
         for test in tests:
             footprints.clear()
-            _run_budgeted(test, model, max_states=1000, reduction="dpor")
+            run_litmus(test, model, max_states=1000, reduction="dpor")
             assert footprints, test.name
 
 
@@ -716,6 +674,9 @@ class TestContextBound:
         full = run_litmus(test, model)
         bounded = run_litmus(test, model, context_bound=1)
         assert not bounded.exploration.complete
+        assert bounded.exploration.stop_reason == (
+            "context bound 1 truncated the search"
+        )
         assert bounded.outcomes <= full.outcomes
 
     def test_ample_context_bound_is_complete(self, model):
@@ -733,13 +694,17 @@ class TestCliStrategyFlags:
         return str(path)
 
     def test_run_command_with_strategies(self, tmp_path, capsys):
+        """There is one search: ``--strategy`` is no longer a flag."""
         from repro.tools.cli import main
 
         path = self._write(tmp_path, "MP")
-        for extra in (["--strategy", "bounded"],
-                      ["--strategy", "sequential"]):
-            assert main(["run", path, *extra]) == 0
-            assert "Test MP: Allowed" in capsys.readouterr().out
+        for name in ("bounded", "sequential"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", path, "--strategy", name])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --strategy" in (
+                capsys.readouterr().err
+            )
 
     def test_run_rejects_sharded_strategy(self, tmp_path, capsys):
         from repro.tools.cli import main
@@ -748,7 +713,21 @@ class TestCliStrategyFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", path, "--strategy", "sharded"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'sharded'" in capsys.readouterr().err
+        assert "unrecognized arguments: --strategy sharded" in (
+            capsys.readouterr().err
+        )
+
+    def test_litmus_counts_tests_that_did_not_complete(
+        self, tmp_path, capsys
+    ):
+        from repro.tools.cli import main
+
+        paths = [self._write(tmp_path, name) for name in ("MP", "SB")]
+        code = main(["litmus", *paths, "--jobs", "1", "--max-states", "40"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("!! exceeded 40 states") == 2
+        assert "2 test(s) did not complete" in out
 
     def test_run_command_with_reduction(self, tmp_path, capsys):
         from repro.tools.cli import main
@@ -772,15 +751,3 @@ class TestCliStrategyFlags:
             main(["run", path, "--reduction", "dpor", "--symmetry"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
-
-    def test_gen_check_accepts_strategy(self, capsys):
-        from repro.tools.cli import main
-
-        code = main(
-            ["gen", "--seed", "1", "--size", "2", "--check",
-             "--jobs", "2", "--strategy", "bounded",
-             "--max-states", "20000"]
-        )
-        captured = capsys.readouterr()
-        assert code in (0, 1)  # soundness verdict, not a crash
-        assert "Oracle:" in captured.err

@@ -102,8 +102,8 @@ from repro.litmus.parser import parse_litmus
 from repro.service import cache_key
 canonical = emit_litmus(parse_litmus(by_name("MP").source))
 print(cache_key(canonical))
-print(cache_key(canonical, strategy="bounded", reduction="sleep",
-                context_bound=3, max_states=1000))
+print(cache_key(canonical, reduction="sleep", context_bound=3,
+                max_states=1000))
 """
 
     def test_key_identical_across_hash_seeds(self, tmp_path):
@@ -127,7 +127,6 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
         base = cache_key(canonical)
         variants = [
             cache_key(_canonical("SB")),
-            cache_key(canonical, strategy="bounded"),
             cache_key(canonical, reduction="sleep"),
             cache_key(canonical, context_bound=2),
             cache_key(canonical, max_states=100),
@@ -136,8 +135,8 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
         assert len(set(keys)) == len(keys)
 
     def test_key_hashes_exactly_the_query_fields(self):
-        """The key is SHA-256 over these fields and no others: a field
-        added or dropped changes every key."""
+        """The key is SHA-256 over these six fields and no others: a
+        field added or dropped changes every key."""
         import hashlib
         from dataclasses import asdict
 
@@ -147,7 +146,6 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
         payload = {
             "schema": SCHEMA_VERSION,
             "test": canonical,
-            "strategy": "bounded",
             "reduction": "dpor",
             "context_bound": 3,
             "max_states": 1000,
@@ -155,8 +153,7 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
         }
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert cache_key(
-            canonical, strategy="bounded", reduction="dpor",
-            context_bound=3, max_states=1000,
+            canonical, reduction="dpor", context_bound=3, max_states=1000,
         ) == hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
     def test_symmetry_false_keys_as_omitted_and_true_is_refused(self):
@@ -194,7 +191,7 @@ print(cache_key(canonical, strategy="bounded", reduction="sleep",
             EngineRequest(source=source, reduction="sleep")
         )
         assert base != engine.request_key(
-            EngineRequest(source=source, strategy="bounded", context_bound=2)
+            EngineRequest(source=source, context_bound=2)
         )
 
 
@@ -367,6 +364,31 @@ class TestRunBatch:
             )
 
 
+    @pytest.mark.parametrize(
+        "options, reason",
+        [
+            (
+                {"max_states": 100},
+                "exceeded 100 states; increase params.max_states",
+            ),
+            ({"context_bound": 1}, "context bound 1 truncated the search"),
+        ],
+        ids=["state-budget", "context-bound"],
+    )
+    def test_incomplete_verdicts_say_why_on_both_paths(self, options, reason):
+        """SB+syncs under context bound 1 stops at 469 states, far inside
+        the default budget: its error must name the bound."""
+        request = EngineRequest(source=by_name("SB+syncs").source, **options)
+        alone = EnvelopeEngine().run_request(request)
+        batched = EnvelopeEngine().run_batch([request], jobs=1).verdicts[0]
+        for verdict in (alone, batched):
+            assert not verdict.complete
+            assert verdict.error == reason
+        assert _comparable(alone.to_payload()) == _comparable(
+            batched.to_payload()
+        )
+
+
 class TestDaemonRoundTrip:
     @pytest.fixture()
     def service(self):
@@ -460,6 +482,7 @@ class TestDaemonRoundTrip:
             {"context_bound": -1},
             {"reduction": "fast"},
             {"strategy": "sharded"},
+            {"strategy": "sequential"},
             {"symmetry": "yes"},
             {"symmetry": True},
             {"jobs": 2},
@@ -468,7 +491,8 @@ class TestDaemonRoundTrip:
         ids=[
             "max_states-str", "max_states-float", "max_states-bool",
             "max_states-zero", "context_bound-str", "context_bound-negative",
-            "reduction-unknown", "strategy-sharded", "symmetry-str",
+            "reduction-unknown", "strategy-sharded", "strategy-sequential",
+            "symmetry-str",
             "symmetry-true", "jobs", "shard_depth",
         ],
     )
@@ -542,6 +566,30 @@ class TestDaemonRoundTrip:
         assert stats["jobs"] == {}
         assert stats["cache"]["entries"] == before
         assert service.health()["ok"]
+
+    @pytest.mark.parametrize("size", [2001, 10**6])
+    def test_oversized_gen_is_400_without_generating(
+        self, service, monkeypatch, size
+    ):
+        """The suite is generated inside the request handler: a size over
+        the cap (2,000) is refused before the generator runs."""
+        from repro.litmus import diy
+        from repro.service.client import ServiceError
+
+        calls = []
+        monkeypatch.setattr(
+            diy, "generate", lambda *args, **kwargs: calls.append(args)
+        )
+        started = time.perf_counter()
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit(gen={"seed": 0, "size": size})
+        assert time.perf_counter() - started < 5
+        assert excinfo.value.status == 400
+        assert "gen 'size' must be an integer from 1 to 2000" in (
+            excinfo.value.payload["error"]
+        )
+        assert calls == []
+        assert service.stats()["jobs"] == {}
 
     def test_stats_fields(self, service):
         assert set(service.stats()) == {

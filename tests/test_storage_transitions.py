@@ -16,11 +16,7 @@ from typing import List
 
 import pytest
 
-from repro.concurrency.search import (
-    BoundedIterative,
-    ExplorationLimit,
-    SequentialDFS,
-)
+from repro.concurrency.search import SequentialDFS
 from repro.concurrency.storage import StorageSubsystem
 from repro.concurrency.system import SystemState, Transition
 from repro.isa.model import default_model
@@ -164,13 +160,6 @@ def model():
     return default_model()
 
 
-def _run(test, model, **options):
-    try:
-        return run_litmus(test, model, **options)
-    except ExplorationLimit:
-        return None
-
-
 #: The gen-wide suite (PERFORMANCE.md's blowups come from it) at the
 #: genwide-dpor benchmark's budget; up to six threads.
 GEN_WIDE = dict(seed=0, size=10, max_threads=6, max_run=4)
@@ -181,7 +170,7 @@ def test_curated_corpus(compared, model):
     """Every curated test, the store-conditional (ATOM) ones included."""
     assert {"ATOM-base", "ATOM-intervene"} <= {e.name for e in corpus()}
     for entry in corpus():
-        _run(entry.parse(), model, max_states=1500)
+        run_litmus(entry.parse(), model, max_states=1500)
     compared.assert_clean()
 
 
@@ -221,7 +210,9 @@ def test_gen_wide_suite(compared, model, options):
         GEN_WIDE["seed"], GEN_WIDE["size"],
         max_threads=GEN_WIDE["max_threads"], max_run=GEN_WIDE["max_run"],
     ):
-        _run(generated.test, model, max_states=GEN_WIDE_BUDGET, **options)
+        run_litmus(
+            generated.test, model, max_states=GEN_WIDE_BUDGET, **options
+        )
     compared.assert_clean()
 
 
@@ -232,14 +223,6 @@ def test_witness_search(compared, model):
     ) is None
     system, _ = build_system(by_name("ATOM-intervene").parse(), model)
     assert SequentialDFS().find_witness(system, lambda outcome: True)
-    compared.assert_clean()
-
-
-def test_bounded_iterative(compared, model):
-    strategy = BoundedIterative(initial_budget=64)
-    for name in ("MP+syncs", "2+2W+lwsyncs", "ATOM-base"):
-        _run(by_name(name).parse(), model, strategy=strategy,
-             max_states=2000)
     compared.assert_clean()
 
 
