@@ -54,11 +54,18 @@ On conflict-dense tests saturation makes the race layer degrade toward
 plain sleep sets over canonical keys; the measured win (PERFORMANCE.md)
 comes primarily from the canonical-key quotient, with the race layer
 pruning the sparse-conflict shapes.
+
+The race layer is integer arithmetic throughout: a step summary's cell
+footprints are cell bitmasks (``symmetry._Geometry.cells_of_range``),
+and a blob's thread sets are ``1 << tid`` masks, so unions, meets and
+blob merges are single integer operations.  A search meets only a few
+dozen distinct step summaries, so ``race_scan`` interns each to a small
+per-search id and memoises ``_absdep`` on id pairs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..symmetry import OUT_OF_CELLS, CanonicalKeys
 from ..events import INITIAL_TID
@@ -80,19 +87,17 @@ _ABS_APPENDING = _APPENDING_KINDS | {"resolve_sc"}
 
 #: Empty blob: (thread-side tids, written cells, observed cells,
 #: global-kind flag, list-append targets, barrier-append targets,
-#: may-complete sync origins, may-complete flag).
-_EMPTY_BLOB = (
-    frozenset(), frozenset(), frozenset(), False,
-    frozenset(), frozenset(), frozenset(), False,
-)
+#: may-complete sync origins, may-complete flag).  Thread sets are
+#: ``1 << tid`` bitmasks, cell sets are ``cells_of_range`` bitmasks, and
+#: the two flags are bools.
+_EMPTY_BLOB = (0, 0, 0, False, 0, 0, 0, False)
 
 
-def _inter(a: FrozenSet[int], b: FrozenSet[int]) -> bool:
+def _inter(a: int, b: int) -> bool:
+    """Do two cell masks meet (a leaking footprint meets any other)?"""
     if not a or not b:
         return False
-    if OUT_OF_CELLS in a or OUT_OF_CELLS in b:
-        return True
-    return not a.isdisjoint(b)
+    return bool((a | b) & OUT_OF_CELLS or a & b)
 
 
 def _absdep(a: tuple, b: tuple) -> bool:
@@ -171,24 +176,28 @@ def _blob_dep(step: tuple, blob: tuple) -> bool:
     kind, tid, side, step_mut, step_obs, bar = step
     if kind in GLOBAL_KINDS or special:
         return True
+    # ``tid`` is None only for sync acknowledgements (global, answered
+    # above) and coherence points (no barrier, not thread-side, not
+    # appending), so no shift below sees it.
     if bar is not None:
         may, origin, _key = bar
-        if tid in appends:
+        bit = 1 << tid
+        if appends & bit:
             # The subtree appended into this barrier's list.
             return True
-        if tid in borigins:
+        if borigins & bit:
             # A barrier event landing in a may-complete sync's origin
             # list (the blob granularity cannot check the fine rule's
             # ioid side, so any event there counts).
             return True
-        if may and (bcomplete or origin in tids):
+        if may and (bcomplete or tids >> origin & 1):
             return True
-        if side and tid in tids:
+        if side and tids & bit:
             return True
         return False
-    if side and (tid in tids or tid in borigins):
+    if side and (tids | borigins) >> tid & 1:
         return True
-    if kind in _ABS_APPENDING and tid in btargets:
+    if kind in _ABS_APPENDING and btargets >> tid & 1:
         return True
     return (
         _inter(step_mut, mut)
@@ -203,7 +212,7 @@ class _Frame:
     __slots__ = (
         "state", "payload", "sleep", "context", "transitions", "backtrack",
         "explored", "explored_set", "explored_enc", "saturated", "entry",
-        "blob", "taken_abs", "hb_taken",
+        "blob", "taken_abs", "taken_id", "hb_taken",
     )
 
     def __init__(self, state, payload, sleep, context, transitions,
@@ -224,8 +233,10 @@ class _Frame:
         self.entry = entry
         #: Mutable summary of the subtree below (same eight fields as
         #: ``_EMPTY_BLOB``).
-        self.blob = [set(), set(), set(), False, set(), set(), set(), False]
+        self.blob = [0, 0, 0, False, 0, 0, 0, False]
         self.taken_abs: Optional[tuple] = None
+        #: ``race_scan``'s per-search id of ``taken_abs``.
+        self.taken_id = -1
         self.hb_taken = 0
 
 
@@ -265,16 +276,20 @@ def run_dpor(
         stats.states_visited += 1
 
     single_list = len(initial.storage.threads) <= 1
+    cells_of = canon.geometry.cells_of_range
+    #: Step summary -> small per-search id, and per step id the memoised
+    #: ``_absdep(path step, step)`` answers keyed by the path step's id.
+    summary_ids: Dict[tuple, int] = {}
+    dependence: Dict[int, Dict[int, bool]] = {}
 
     def abstract(state: SystemState, transition: Transition) -> tuple:
         mut_ranges, obs_ranges = reducer._footprint(state, transition)
-        cells_of = canon.geometry.cells_of_range
-        mut: FrozenSet[int] = frozenset()
+        mut = 0
         for addr, size in mut_ranges:
-            mut = mut | cells_of(addr, size)
-        obs: FrozenSet[int] = frozenset()
+            mut |= cells_of(addr, size)
+        obs = 0
         for addr, size in obs_ranges:
-            obs = obs | cells_of(addr, size)
+            obs |= cells_of(addr, size)
         kind = transition.kind
         bar = None
         if kind in BARRIER_KINDS:
@@ -310,14 +325,8 @@ def run_dpor(
                 saturate(frame)
 
     def merge_blob(target: list, blob: tuple) -> None:
-        target[0] |= blob[0]
-        target[1] |= blob[1]
-        target[2] |= blob[2]
-        target[3] = target[3] or blob[3]
-        target[4] |= blob[4]
-        target[5] |= blob[5]
-        target[6] |= blob[6]
-        target[7] = target[7] or blob[7]
+        for field in range(8):
+            target[field] |= blob[field]
 
     # -- outcome-determined end-game cut ---------------------------------
     #
@@ -389,38 +398,38 @@ def run_dpor(
     def endgame_blob(state: SystemState) -> tuple:
         """Over-approximate summary of every possible step below."""
         storage = state.storage
-        cells_of = canon.geometry.cells_of_range
         tids = list(storage.threads)
-        touched = set()
-        appends = set()
-        btargets = set()
-        borigins = set()
+        touched = 0
+        appends = 0
+        btargets = 0
+        borigins = 0
         bcomplete = False
         past_cp = storage.coherence_points
         for write in storage.writes_seen.values():
             event = ("w", write.wid)
-            missing = [
-                t for t in tids if not storage.is_propagated_to(event, t)
-            ]
+            missing = 0
+            for t in tids:
+                if not storage.is_propagated_to(event, t):
+                    missing |= 1 << t
             if missing or write.wid not in past_cp:
                 touched |= cells_of(write.addr, write.size)
-                appends.update(missing)
+                appends |= missing
         for bid, barrier in storage.barriers_seen.items():
             event = ("b", bid)
-            missing = [
-                t for t in tids if not storage.is_propagated_to(event, t)
-            ]
+            missing = 0
+            for t in tids:
+                if not storage.is_propagated_to(event, t):
+                    missing |= 1 << t
             if missing:
-                appends.update(missing)
-                btargets.update(missing)
+                appends |= missing
+                btargets |= missing
                 if barrier.kind == "sync":
-                    borigins.add(bid.tid)
+                    borigins |= 1 << bid.tid
                     bcomplete = True
-        frozen_cells = frozenset(touched)
         return (
-            frozenset(), frozen_cells, frozen_cells,
+            0, touched, touched,
             bool(storage.unacknowledged_syncs),
-            frozenset(appends), frozenset(btargets), frozenset(borigins),
+            appends, btargets, borigins,
             bcomplete,
         )
 
@@ -544,14 +553,21 @@ def run_dpor(
         """Detect races of the step being taken against the path."""
         depth = len(frames) - 1
         frame = frames[depth]
-        direct = [
-            index
-            for index in range(depth)
-            if _absdep(frames[index].taken_abs, t_abs)
-        ]
+        t_id = summary_ids.get(t_abs)
+        if t_id is None:
+            t_id = summary_ids[t_abs] = len(summary_ids)
+            dependence[t_id] = {}
+        row = dependence[t_id]
+        direct = []
         hb = 0
-        for index in direct:
-            hb |= (1 << index) | frames[index].hb_taken
+        for index in range(depth):
+            racer = frames[index]
+            dep = row.get(racer.taken_id)
+            if dep is None:
+                dep = row[racer.taken_id] = _absdep(racer.taken_abs, t_abs)
+            if dep:
+                direct.append(index)
+                hb |= (1 << index) | racer.hb_taken
         covered = 0
         for index in reversed(direct):
             if (covered >> index) & 1:
@@ -588,23 +604,25 @@ def run_dpor(
             else:
                 saturate(racer)
         frame.taken_abs = t_abs
+        frame.taken_id = t_id
         frame.hb_taken = hb
-        # The step itself joins the frame's subtree summary.
+        # The step itself joins the frame's subtree summary.  Steps
+        # without a tid (coherence points, sync acknowledgements) are
+        # neither thread-side, appending nor barrier steps.
         blob = frame.blob
-        kind = t_abs[0]
-        if t_abs[2]:
-            blob[0].add(t_abs[1])
-        blob[1] |= t_abs[3]
-        blob[2] |= t_abs[4]
+        kind, tid, side, mut, obs, bar = t_abs
+        if side:
+            blob[0] |= 1 << tid
+        blob[1] |= mut
+        blob[2] |= obs
         if kind in GLOBAL_KINDS:
             blob[3] = True
         if kind in _ABS_APPENDING:
-            blob[4].add(t_abs[1])
-        bar = t_abs[5]
+            blob[4] |= 1 << tid
         if bar is not None:
-            blob[5].add(t_abs[1])
+            blob[5] |= 1 << tid
             if bar[0]:
-                blob[6].add(bar[1])
+                blob[6] |= 1 << bar[1]
                 blob[7] = True
 
     def next_transition(frame: _Frame) -> Optional[Transition]:
@@ -723,23 +741,12 @@ def run_dpor(
             entry = frame.entry
             if frame.explored:
                 entry[0].update(encode(t) for t in frame.explored)
-            blob = (
-                frozenset(frame.blob[0]),
-                frozenset(frame.blob[1]),
-                frozenset(frame.blob[2]),
-                frame.blob[3],
-                frozenset(frame.blob[4]),
-                frozenset(frame.blob[5]),
-                frozenset(frame.blob[6]),
-                frame.blob[7],
-            )
+            blob = tuple(frame.blob)
             if blob != _EMPTY_BLOB:
                 stored = entry[1]
                 entry[1] = (
                     blob if stored is _EMPTY_BLOB else tuple(
-                        stored[i] | blob[i] if i in (0, 1, 2, 4, 5, 6)
-                        else (stored[i] or blob[i])
-                        for i in range(8)
+                        a | b for a, b in zip(stored, blob)
                     )
                 )
             frames.pop()

@@ -29,6 +29,7 @@ load-reserve/store-conditional primitives).
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..sail.values import Bits
@@ -45,6 +46,10 @@ class CoherenceViolation(Exception):
 
 #: Key of an empty propagation list; the chain grows one cons pair per event.
 _EMPTY_EVENTS_KEY = CachedKey(())
+
+#: Sort key of a write id: its ``(tid, ioid, index)`` tuple, which orders
+#: exactly like ``WriteId.__lt__`` but compares in C.
+_sort_key = attrgetter("_sort_key")
 
 
 class StorageChanges:
@@ -123,6 +128,7 @@ class StorageSubsystem:
         "_syncs_key",
         "_atomic_key",
         "_cp_key",
+        "_nf_bits",
     )
 
     def __init__(self, threads: Iterable[int]):
@@ -193,6 +199,10 @@ class StorageSubsystem:
         self._syncs_key: Optional[CachedKey] = None
         self._atomic_key: Optional[CachedKey] = None
         self._cp_key: Optional[CachedKey] = None
+        #: Per-list normal-form flag bitmasks (see ``normal_form_bits``);
+        #: None until first requested, then kept up to date by the
+        #: mutators that move them.
+        self._nf_bits: Optional[Dict[int, Tuple[int, int]]] = None
 
     def _record(self) -> Optional[StorageChanges]:
         """The change record to extend; None while no option list is cached."""
@@ -216,6 +226,9 @@ class StorageSubsystem:
             **self._events_pos,
             tid: {**self._events_pos[tid], event: len(events)},
         }
+        bits = self._nf_bits
+        if bits is not None:
+            self._nf_bits = self._bits_after_append(bits, tid, event, len(events))
         if event[0] == "w":
             self._writes_prop = {**self._writes_prop, tid: None}
             self._read_cache = {**self._read_cache, tid: {}}
@@ -238,6 +251,55 @@ class StorageSubsystem:
             changes.lists.add(tid)
             if event[0] == "w":
                 changes.appended.add(event[1])
+
+    def _bits_after_append(self, bits, tid: int, event: Event, position: int):
+        """``normal_form_bits`` after ``event`` landed at ``position`` of
+        ``tid``'s list (``_events_pos`` already holds it)."""
+        if event[0] == "w" and event[1] in self.coherence_points:
+            fully, past_cp = bits[tid]
+            bits = {**bits, tid: (fully, past_cp | 1 << position)}
+        events_pos = self._events_pos
+        if all(event in events_pos[other] for other in self.threads):
+            # The event is now in every list: it is fully propagated.
+            bits = dict(bits)
+            for other in self.threads:
+                fully, past_cp = bits[other]
+                bits[other] = (fully | 1 << events_pos[other][event], past_cp)
+        return bits
+
+    def normal_form_bits(self) -> Dict[int, Tuple[int, int]]:
+        """Per-list ``(fully, past_cp)`` position bitmasks.
+
+        Bit ``p`` of ``fully`` is set when the event at position ``p`` of
+        the thread's list is in every list; bit ``p`` of ``past_cp`` when
+        that event is a write past its coherence point.  These are the
+        flags the normal-form key reads
+        (``symmetry.CanonicalKeys._events_component``).
+        The first call builds them; from then on ``_append_event`` and
+        ``reach_coherence_point`` keep them current, so a storage that is
+        never asked pays one ``is None`` test per list append and per
+        coherence point.  Like every other structure they are replaced,
+        never edited in place, so clones share them.
+        """
+        bits = self._nf_bits
+        if bits is None:
+            threads = self.threads
+            events_pos = self._events_pos
+            cps = self.coherence_points
+            everywhere = set(events_pos[threads[0]])
+            for other in threads[1:]:
+                everywhere.intersection_update(events_pos[other])
+            bits = {}
+            for tid in threads:
+                fully = past_cp = 0
+                for position, event in enumerate(self.events_propagated_to[tid]):
+                    if event in everywhere:
+                        fully |= 1 << position
+                    if event[0] == "w" and event[1] in cps:
+                        past_cp |= 1 << position
+                bits[tid] = (fully, past_cp)
+            self._nf_bits = bits
+        return bits
 
     # ------------------------------------------------------------------
     # Cloning and memoisation keys
@@ -281,6 +343,7 @@ class StorageSubsystem:
         other._syncs_key = self._syncs_key
         other._atomic_key = self._atomic_key
         other._cp_key = self._cp_key
+        other._nf_bits = self._nf_bits
         return other
 
     def key(self) -> CachedKey:
@@ -294,7 +357,9 @@ class StorageSubsystem:
         if cached is not None:
             return cached
         if self._writes_key is None:
-            self._writes_key = intern_key(tuple(sorted(self.writes_seen)))
+            self._writes_key = intern_key(
+                tuple(sorted(self.writes_seen, key=_sort_key))
+            )
         if self._coh_key is None:
             self._coh_key = intern_key(tuple(
                 (wid, tuple(sorted(succ)))
@@ -312,7 +377,9 @@ class StorageSubsystem:
         if self._atomic_key is None:
             self._atomic_key = intern_key(tuple(sorted(self.atomic_pairs)))
         if self._cp_key is None:
-            self._cp_key = intern_key(tuple(sorted(self.coherence_points)))
+            self._cp_key = intern_key(
+                tuple(sorted(self.coherence_points, key=_sort_key))
+            )
         # The composite is nearly unique per state (propagation lists move
         # every transition): plain CachedKey, no interning, so the bounded
         # intern table keeps the recurring component keys instead.
@@ -503,6 +570,7 @@ class StorageSubsystem:
         self._changes = None
         self._writes_key = None
         self._cp_key = None
+        self._nf_bits = None  # coherence points change below, not via rcp
         self._sorted_wids = None
         for write in writes:
             self.writes_seen = {**self.writes_seen, write.wid: write}
@@ -700,6 +768,16 @@ class StorageSubsystem:
             else:
                 self.add_coherence(wid, other_wid)
         self.coherence_points = self.coherence_points | {wid}
+        bits = self._nf_bits
+        if bits is not None:
+            event = ("w", wid)
+            bits = dict(bits)
+            for tid in self.threads:
+                position = self._events_pos[tid].get(event)
+                if position is not None:
+                    fully, past_cp = bits[tid]
+                    bits[tid] = (fully, past_cp | 1 << position)
+            self._nf_bits = bits
 
     def all_writes_past_coherence_point(self) -> bool:
         # coherence_points only ever holds seen write ids, so comparing

@@ -15,6 +15,15 @@ in a list stay ordered exactly when their bytes overlap
 (``storage._overlaps``); barrier pairs stay ordered while the barrier
 can still gate something (see ``_events_component``).
 
+Barrier pairs read two per-event flags: is the event in every list
+(fully propagated), and is it a write past its coherence point.  The
+storage keeps both as per-list position bitmasks
+(``StorageSubsystem.normal_form_bits``): built on the first request,
+then moved by the one list append or coherence point a transition
+makes, so a key costs a memo lookup per list instead of a rescan of
+every list.  The thread half of the key is the state's memoised
+``threads_key()``, which a storage-only step carries across ``clone``.
+
 The module keeps the name of the thread-orbit symmetry reduction that
 used to live here.  That reduction was deleted: no suite the benchmark
 or CI runs under dpor has a thread-symmetric test, and on generated
@@ -28,8 +37,7 @@ traced call counts stay comparable across versions.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from .events import INITIAL_TID
 from .keys import CachedKey
@@ -38,17 +46,15 @@ from .system import SystemState, Transition
 #: Bound on the per-search normal-form memo table.
 _MEMO_LIMIT = 1 << 16
 
-#: Wildcard cell index: a footprint reaching outside every known cell.
-OUT_OF_CELLS = -1
-
-#: A propagation-list event's write or barrier id.
-_payload = itemgetter(1)
+#: Wildcard bit of a cell mask (bit 0; cell ``i`` is bit ``i + 1``): the
+#: footprint reaches outside every known cell, so it meets every mask.
+OUT_OF_CELLS = 1
 
 
 class _Geometry:
     """The data cells of a test: one per initial write."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "_masks")
 
     def __init__(self, initial: SystemState):
         #: (addr, size) per initial-write index, in initial-write order.
@@ -60,23 +66,31 @@ class _Geometry:
                 if wid.tid == INITIAL_TID
             )
         ]
+        self._masks: Dict[Tuple[int, int], int] = {}
 
-    def cells_of_range(self, addr: int, size: int) -> FrozenSet[int]:
-        """Indexes of cells a byte range touches (+ wildcard if it leaks).
+    def cells_of_range(self, addr: int, size: int) -> int:
+        """Bitmask of the cells a byte range touches: bit ``i + 1`` for
+        cell ``i``, plus ``OUT_OF_CELLS`` when the range leaks outside
+        every cell.
 
-        The DPOR race abstraction's footprints are sets of these.
+        The DPOR race abstraction's footprints are unions of these masks.
+        Memoised per ``(addr, size)``: a search asks for the same few
+        ranges at every step.
         """
-        touched = set()
-        covered = 0
-        for index, (base, span) in enumerate(self.cells):
-            lo = max(addr, base)
-            hi = min(addr + size, base + span)
-            if lo < hi:
-                touched.add(index)
-                covered += hi - lo
-        if covered < size:
-            touched.add(OUT_OF_CELLS)
-        return frozenset(touched)
+        mask = self._masks.get((addr, size))
+        if mask is None:
+            mask = 0
+            covered = 0
+            for index, (base, span) in enumerate(self.cells):
+                lo = max(addr, base)
+                hi = min(addr + size, base + span)
+                if lo < hi:
+                    mask |= 2 << index
+                    covered += hi - lo
+            if covered < size:
+                mask |= OUT_OF_CELLS
+            self._masks[(addr, size)] = mask
+        return mask
 
 
 class CanonicalKeys:
@@ -91,12 +105,9 @@ class CanonicalKeys:
         """The state's component keys with normal-form event lists."""
         storage = state.storage
         storage.key()  # materialise the memoised component keys
-        threads_part = tuple(
-            state.threads[tid].key() for tid in sorted(state.threads)
-        )
         return CachedKey((
             "NF",
-            threads_part,
+            state.threads_key(),
             storage._writes_key,
             storage._coh_key,
             self._events_component(storage),
@@ -142,33 +153,22 @@ class CanonicalKeys:
         states equivalent under every future transition.
 
         Each list's part is memoised on exactly what it reads: the
-        thread, the list (its interned chain key), and the per-event
-        fully propagated and past-coherence-point flags when the list
-        holds a barrier (only barrier pairs read them).  A step usually
-        moves one list, so the other parts are reused.
+        thread, the list (its interned chain key), and the list's
+        fully-propagated and past-coherence-point bitmasks
+        (``storage.normal_form_bits``) when it holds a barrier (only
+        barrier pairs read them).  A step usually moves one list, so the
+        other parts are reused.
         """
-        threads = storage.threads
-        events_lists = storage.events_propagated_to
-        chain_keys = storage._events_keys
         barrier_prefix = storage._barrier_prefix
-        cps = storage.coherence_points
+        chain_keys = storage._events_keys
         memo = self._list_memo
-        fully = None
+        bits = None
         parts = []
-        for tid in threads:
-            events = events_lists[tid]
+        for tid in storage.threads:
             if barrier_prefix[tid]:
-                if fully is None:
-                    # Fully propagated = present in every thread's list
-                    # (initial writes are born that way).
-                    events_pos = storage._events_pos
-                    fully = set(events_pos[threads[0]])
-                    for other in threads[1:]:
-                        fully.intersection_update(events_pos[other])
-                flags = (
-                    tuple(map(fully.__contains__, events)),
-                    tuple(map(cps.__contains__, map(_payload, events))),
-                )
+                if bits is None:
+                    bits = storage.normal_form_bits()
+                flags = bits[tid]
             else:
                 # Without a barrier only write-write pairs exist, and
                 # their liveness reads neither flag.
@@ -181,7 +181,9 @@ class CanonicalKeys:
             memo_key = (tid, chain_keys[tid], flags)
             part = memo.get(memo_key)
             if part is None:
-                part = self._list_part(storage, tid, events, flags)
+                part = self._list_part(
+                    storage, tid, storage.events_propagated_to[tid], flags
+                )
                 if len(memo) >= _MEMO_LIMIT:
                     memo.clear()
                 memo[memo_key] = part
@@ -192,15 +194,17 @@ class CanonicalKeys:
     def _list_part(storage, tid: int, events, flags) -> CachedKey:
         """One propagation list's ``(tid, (sorted events, live pairs))``.
 
-        ``flags`` is ``None`` for a barrier-free list, else the
-        per-event (fully propagated, past coherence point) flags.  Parts
-        are ``CachedKey``s, so the state key hashes in O(threads) and
-        memoised parts compare by identity.
+        ``flags`` is ``None`` for a barrier-free list, else the list's
+        (fully propagated, past coherence point) position bitmasks.
+        Parts are ``CachedKey``s, so the state key hashes in O(threads)
+        and memoised parts compare by identity.
         """
         overlaps = storage._overlaps
         n = len(events)
         if flags is not None:
-            fully, past_cp = flags
+            fully_mask, past_mask = flags
+            fully = [(fully_mask >> k) & 1 for k in range(n)]
+            past_cp = [(past_mask >> k) & 1 for k in range(n)]
         live = []
         for j in range(n):
             tag_j, pay_j = events[j]

@@ -226,11 +226,15 @@ def format_verdict(payload: Dict[str, Any]) -> List[str]:
     for text, satisfied in payload.get("outcome_lines", []):
         marker = "*" if satisfied else " "
         lines.append(f"  {marker} {text}")
-    witnessed = payload.get("witnessed")
-    lines.append(
-        f"Condition ({payload.get('quantifier')}): "
-        f"{'witnessed' if witnessed else 'never satisfied'}"
-    )
+    if payload.get("witnessed"):
+        finding = "witnessed"
+    elif payload.get("complete", True):
+        finding = "never satisfied"
+    else:
+        # A partial outcome set proves nothing about the states it
+        # did not reach.
+        finding = "not witnessed in the states explored (search incomplete)"
+    lines.append(f"Condition ({payload.get('quantifier')}): {finding}")
     if payload.get("error"):
         lines.append(f"  !! {payload['error']}")
     return lines

@@ -28,6 +28,52 @@ class TestCli:
         output = capsys.readouterr().out
         assert "1:r4=" in output
 
+    def test_partial_verdict_claims_no_proof(self, tmp_path, capsys):
+        """A context-bounded SB+syncs explores part of the space and sees
+        no witness: the condition line must say that, not "never
+        satisfied", which reads as a proof of absence."""
+        path = tmp_path / "SB+syncs.litmus"
+        path.write_text(by_name("SB+syncs").source)
+        assert main(["run", str(path), "--context-bound", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Test SB+syncs: StateLimit"
+        assert lines[-2:] == [
+            "Condition (exists): not witnessed in the states explored "
+            "(search incomplete)",
+            "  !! context bound 1 truncated the search",
+        ]
+        assert not any("never satisfied" in line for line in lines)
+
+    def test_complete_verdict_output_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "SB+syncs.litmus"
+        path.write_text(by_name("SB+syncs").source)
+        assert main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Test SB+syncs: Forbidden"
+        assert lines[1].startswith("States: 1125  final: 32  time: ")
+        assert len(lines) == 6
+        assert lines[-1] == "Condition (exists): never satisfied"
+
+    def test_format_verdict_condition_line(self):
+        from repro.service.client import format_verdict
+
+        def condition(**fields):
+            payload = dict(name="T", status="S", quantifier="exists")
+            payload.update(fields)
+            return format_verdict(payload)[-1]
+
+        assert condition(witnessed=False, complete=True) == (
+            "Condition (exists): never satisfied"
+        )
+        assert condition(witnessed=False, complete=False) == (
+            "Condition (exists): not witnessed in the states explored "
+            "(search incomplete)"
+        )
+        # A witness found by a partial search is still a real execution.
+        assert condition(witnessed=True, complete=False) == (
+            "Condition (exists): witnessed"
+        )
+
     def test_elf_command(self, tmp_path, capsys):
         from repro.elf.writer import make_executable
         from repro.isa.assembler import Assembler

@@ -19,6 +19,7 @@ full slow sweep is opt-in via ``PPCMEM2_SEARCH_FULL=1``.
 """
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -566,6 +567,505 @@ class TestNormalFormReference:
                 generated.test, model, max_states=3000, reduction="dpor",
             )
         assert calls["calls"] > 0
+
+    def test_gen_wide(self, model, calls):
+        """genwide-dpor's suite: up to six threads, 600 states."""
+        for test in _gen_wide_tests():
+            run_litmus(test, model, max_states=600, reduction="dpor")
+        assert calls["calls"] > 0
+
+
+def _gen_wide_tests():
+    """The genwide-dpor benchmark's fixed suite (up to six threads)."""
+    from repro.litmus import diy
+
+    return [
+        generated.test
+        for generated in diy.generate(0, 10, max_threads=6, max_run=4)
+    ]
+
+
+#: Curated tests the incremental-layer references run on under dpor.
+REFERENCE_SAMPLE = TestNormalFormReference.NAMES
+
+
+class ReferenceCheck:
+    """Counts compared answers, and those that differ."""
+
+    def __init__(self, what):
+        self.what = what
+        self.calls = 0
+        self.mismatches = 0
+        self.first = ""
+
+    def compare(self, got, expected, context):
+        """Count one answer; ``context()`` describes the first mismatch."""
+        self.calls += 1
+        if got != expected:
+            self.mismatches += 1
+            if self.mismatches == 1:
+                self.first = (
+                    f"{context()}\n  got      {got!r}\n"
+                    f"  expected {expected!r}"
+                )
+
+    def assert_clean(self):
+        assert self.calls > 0
+        assert not self.mismatches, (
+            f"{self.mismatches} of {self.calls} {self.what} differ from "
+            f"the reference; first:\n{self.first}"
+        )
+
+
+# -- storage-kept normal-form flags --------------------------------------
+
+
+def _reference_bits(storage):
+    """The (fully, past_cp) flags as ``_events_component`` rebuilt them
+    on every call before the storage kept them, packed per list into
+    position bitmasks."""
+    threads = storage.threads
+    events_pos = storage._events_pos
+    cps = storage.coherence_points
+    bits = {}
+    for tid in threads:
+        fully = past_cp = 0
+        for position, event in enumerate(storage.events_propagated_to[tid]):
+            if all(event in events_pos[t] for t in threads):
+                fully |= 1 << position
+            if event[1] in cps:
+                past_cp |= 1 << position
+        bits[tid] = (fully, past_cp)
+    return bits
+
+
+@contextmanager
+def comparing_normal_form_bits():
+    """Compare every ``normal_form_bits`` answer with a from-scratch
+    rebuild on a clone whose bits were dropped, and with
+    ``_reference_bits``.
+
+    Yields a ``ReferenceCheck``; ``check.kept`` counts the answers that
+    came from incrementally kept bits (the ones worth comparing).  Also
+    usable outside pytest (CI's dpor-smoke job runs it over a larger
+    generated suite).
+    """
+    from repro.concurrency.storage import StorageSubsystem
+
+    check = ReferenceCheck("normal-form bitmasks")
+    check.kept = 0
+    original = StorageSubsystem.normal_form_bits
+
+    def compared(storage):
+        kept = storage._nf_bits is not None
+        bits = original(storage)
+        fresh = storage.clone()
+        fresh._nf_bits = None
+        rebuilt = original(fresh)
+        check.kept += kept
+        check.compare(
+            (bits, bits), (rebuilt, _reference_bits(storage)),
+            storage.render,
+        )
+        return bits
+
+    StorageSubsystem.normal_form_bits = compared
+    try:
+        yield check
+    finally:
+        StorageSubsystem.normal_form_bits = original
+
+
+class TestNormalFormBits:
+    """``StorageSubsystem.normal_form_bits``: built on first request, then
+    kept by the mutators."""
+
+    @pytest.fixture
+    def compared(self):
+        with comparing_normal_form_bits() as check:
+            yield check
+
+    def test_curated(self, model, compared):
+        for name in REFERENCE_SAMPLE:
+            run_litmus(
+                by_name(name).parse(), model, max_states=3000,
+                reduction="dpor",
+            )
+        compared.assert_clean()
+        assert compared.kept > 0
+
+    def test_gen_wide(self, model, compared):
+        for test in _gen_wide_tests():
+            run_litmus(test, model, max_states=600, reduction="dpor")
+        compared.assert_clean()
+        assert compared.kept > 0
+
+    def test_siblings_never_share_updates(self):
+        """Two clones of one storage step differently; each sees only its
+        own bits, and the parent keeps its own."""
+        from repro.concurrency.events import Write, WriteId, initial_write
+        from repro.concurrency.storage import StorageSubsystem
+        from repro.sail.values import Bits
+
+        storage = StorageSubsystem([0, 1, 2])
+        storage.accept_initial_writes([
+            initial_write(0, 0x100, 4, Bits.zeros(32)),
+            initial_write(1, 0x200, 4, Bits.zeros(32)),
+        ])
+        w0 = Write(WriteId(0, (0, 0), 0), 0x100, 4, Bits.from_int(1, 32))
+        w1 = Write(WriteId(1, (1, 0), 0), 0x200, 4, Bits.from_int(2, 32))
+        storage.accept_write(w0)
+        storage.accept_write(w1)
+        before = storage.normal_form_bits()
+        assert before == _reference_bits(storage)
+        left, right = storage.clone(), storage.clone()
+        assert left._nf_bits is before and right._nf_bits is before
+        # left: w0 reaches every list (fully propagated), then its cp.
+        left.propagate_write(w0.wid, 1)
+        left.propagate_write(w0.wid, 2)
+        left.reach_coherence_point(w0.wid)
+        # right: w1 reaches its cp first, then one more list.
+        right.reach_coherence_point(w1.wid)
+        right.propagate_write(w1.wid, 2)
+        for side in (storage, left, right):
+            assert side.normal_form_bits() == _reference_bits(side)
+        assert storage.normal_form_bits() is before
+        assert left.normal_form_bits() != right.normal_form_bits()
+        assert left.normal_form_bits()[0] == (0b111, 0b111)
+        assert right.normal_form_bits()[1] == (0b11, 0b111)
+
+    def test_unreduced_search_never_builds_them(self, model, monkeypatch):
+        from repro.concurrency.storage import StorageSubsystem
+
+        asked = []
+        original = StorageSubsystem.normal_form_bits
+        monkeypatch.setattr(
+            StorageSubsystem, "normal_form_bits",
+            lambda storage: asked.append(storage) or original(storage),
+        )
+        for name in ("SB+syncs", "MP+syncs", "R"):
+            result = run_litmus(by_name(name).parse(), model,
+                                reduction="none")
+            assert result.exploration.complete
+        assert asked == []
+
+
+# -- the integer race layer against the frozenset one --------------------
+#
+# The race layer's summaries and blobs were frozensets of cell indexes
+# and thread ids, with -1 for the out-of-cells wildcard.  These are its
+# functions verbatim (names prefixed ``_reference``); the comparison
+# converts the integer summaries back to sets and asks both.
+
+_REFERENCE_OUT_OF_CELLS = -1
+
+
+def _reference_cells_of_range(geometry, addr, size):
+    touched = set()
+    covered = 0
+    for index, (base, span) in enumerate(geometry.cells):
+        lo = max(addr, base)
+        hi = min(addr + size, base + span)
+        if lo < hi:
+            touched.add(index)
+            covered += hi - lo
+    if covered < size:
+        touched.add(_REFERENCE_OUT_OF_CELLS)
+    return frozenset(touched)
+
+
+def _reference_inter(a, b):
+    if not a or not b:
+        return False
+    if _REFERENCE_OUT_OF_CELLS in a or _REFERENCE_OUT_OF_CELLS in b:
+        return True
+    return not a.isdisjoint(b)
+
+
+def _reference_absdep(a, b):
+    from repro.concurrency.search.dpor import _ABS_APPENDING
+    from repro.concurrency.search.reduction import GLOBAL_KINDS
+
+    kind_a, tid_a, side_a, mut_a, obs_a, bar_a = a
+    kind_b, tid_b, side_b, mut_b, obs_b, bar_b = b
+    if kind_a in GLOBAL_KINDS or kind_b in GLOBAL_KINDS:
+        return True
+    if bar_a is not None or bar_b is not None:
+        if bar_a is not None and bar_b is not None:
+            if tid_a == tid_b:
+                return True
+            may_a, org_a, key_a = bar_a
+            may_b, org_b, key_b = bar_b
+            if may_a and may_b and key_a != key_b:
+                return True
+            if (may_a and tid_b == org_a) or (may_b and tid_a == org_b):
+                return True
+            return False
+        if bar_a is not None:
+            may, origin, _key = bar_a
+            b_tid, b_side = tid_a, side_a
+            o_kind, o_tid, o_side = kind_b, tid_b, side_b
+        else:
+            may, origin, _key = bar_b
+            b_tid, b_side = tid_b, side_b
+            o_kind, o_tid, o_side = kind_a, tid_a, side_a
+        if may and o_side and o_tid == origin:
+            return True
+        if o_kind in _ABS_APPENDING and o_tid == b_tid:
+            return True
+        if b_side and o_side and o_tid == b_tid:
+            return True
+        return False
+    if side_a and side_b:
+        if tid_a == tid_b:
+            return True
+        if kind_a != "resolve_sc" and kind_b != "resolve_sc":
+            return False
+    return (
+        _reference_inter(mut_a, mut_b)
+        or _reference_inter(mut_a, obs_b)
+        or _reference_inter(mut_b, obs_a)
+    )
+
+
+def _reference_blob_dep(step, blob):
+    from repro.concurrency.search.dpor import _ABS_APPENDING
+    from repro.concurrency.search.reduction import GLOBAL_KINDS
+
+    tids, mut, obs, special, appends, btargets, borigins, bcomplete = blob
+    if not (tids or mut or obs or special or appends):
+        return False
+    kind, tid, side, step_mut, step_obs, bar = step
+    if kind in GLOBAL_KINDS or special:
+        return True
+    if bar is not None:
+        may, origin, _key = bar
+        if tid in appends:
+            return True
+        if tid in borigins:
+            return True
+        if may and (bcomplete or origin in tids):
+            return True
+        if side and tid in tids:
+            return True
+        return False
+    if side and (tid in tids or tid in borigins):
+        return True
+    if kind in _ABS_APPENDING and tid in btargets:
+        return True
+    return (
+        _reference_inter(step_mut, mut)
+        or _reference_inter(step_mut, obs)
+        or _reference_inter(mut, step_obs)
+    )
+
+
+def _mask_members(mask):
+    """Bit positions set in ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _cells_as_set(mask):
+    """A cell mask as the old index set (bit 0 is the -1 wildcard)."""
+    return frozenset(bit - 1 for bit in _mask_members(mask))
+
+
+def _summary_as_sets(summary):
+    kind, tid, side, mut, obs, bar = summary
+    return (kind, tid, side, _cells_as_set(mut), _cells_as_set(obs), bar)
+
+
+def _blob_as_sets(blob):
+    tids, mut, obs, special, appends, btargets, borigins, bcomplete = blob
+    return (
+        _mask_members(tids), _cells_as_set(mut), _cells_as_set(obs),
+        special, _mask_members(appends), _mask_members(btargets),
+        _mask_members(borigins), bcomplete,
+    )
+
+
+def _search_locals():
+    """The innermost running ``run_dpor``'s local variables, or None."""
+    import sys
+
+    from repro.concurrency.search import dpor
+
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not dpor.run_dpor.__code__:
+        frame = frame.f_back
+    return None if frame is None else frame.f_locals
+
+
+@contextmanager
+def comparing_race_layer():
+    """Compare the integer race layer with the frozenset reference.
+
+    * every ``cells_of_range`` mask with ``_reference_cells_of_range``;
+    * every ``_blob_dep`` answer with ``_reference_blob_dep`` on the
+      step and blob converted back to sets;
+    * every dependence answer ``race_scan`` used, memoised ones
+      included: after each step (at the successor's ``canonical`` call)
+      the memo entry for the step against each earlier path step is
+      compared with ``_reference_absdep``, the step's id with its
+      summary's intern entry, and the step's happens-before mask with
+      the one the reference answers give.
+
+    Yields a ``ReferenceCheck``; ``check.dependence`` counts the
+    dependence answers among its comparisons.  Also usable outside pytest
+    (CI's dpor-smoke job runs it over a larger generated suite).
+    """
+    from repro.concurrency.search import dpor
+    from repro.concurrency.symmetry import CanonicalKeys, _Geometry
+
+    check = ReferenceCheck("race-layer answers")
+    check.dependence = 0
+    cells_of_range = _Geometry.cells_of_range
+    blob_dep = dpor._blob_dep
+    canonical = CanonicalKeys.canonical
+
+    def checked_cells(geometry, addr, size):
+        mask = cells_of_range(geometry, addr, size)
+        check.compare(
+            _cells_as_set(mask),
+            _reference_cells_of_range(geometry, addr, size),
+            lambda: f"cells_of_range({addr:#x}, {size})",
+        )
+        return mask
+
+    def checked_blob_dep(step, blob):
+        answer = blob_dep(step, blob)
+        check.compare(
+            answer,
+            _reference_blob_dep(_summary_as_sets(step), _blob_as_sets(blob)),
+            lambda: f"_blob_dep({step!r}, {blob!r})",
+        )
+        return answer
+
+    def checked_canonical(canon, state):
+        search = _search_locals()
+        frames = search["frames"] if search is not None else None
+        if frames:
+            top = frames[-1]
+            check.compare(
+                search["summary_ids"].get(top.taken_abs), top.taken_id,
+                lambda: f"intern id of {top.taken_abs!r}",
+            )
+            row = search["dependence"][top.taken_id]
+            step = _summary_as_sets(top.taken_abs)
+            hb = 0
+            for index, earlier in enumerate(frames[:-1]):
+                expected = _reference_absdep(
+                    _summary_as_sets(earlier.taken_abs), step
+                )
+                check.dependence += 1
+                check.compare(
+                    row[earlier.taken_id], expected,
+                    lambda: f"_absdep({earlier.taken_abs!r}, "
+                    f"{top.taken_abs!r})",
+                )
+                if expected:
+                    hb |= (1 << index) | earlier.hb_taken
+            # The happens-before mask ``race_scan`` built from the answers
+            # it was served: catches an answer read from the wrong entry.
+            check.compare(
+                top.hb_taken, hb, lambda: f"hb of {top.taken_abs!r}"
+            )
+        return canonical(canon, state)
+
+    _Geometry.cells_of_range = checked_cells
+    dpor._blob_dep = checked_blob_dep
+    CanonicalKeys.canonical = checked_canonical
+    try:
+        yield check
+    finally:
+        _Geometry.cells_of_range = cells_of_range
+        dpor._blob_dep = blob_dep
+        CanonicalKeys.canonical = canonical
+
+
+class TestIntegerRaceLayer:
+    """The bitmask race layer answers exactly like the frozenset one."""
+
+    @pytest.fixture
+    def compared(self):
+        with comparing_race_layer() as check:
+            yield check
+
+    def test_curated(self, model, compared):
+        for name in REFERENCE_SAMPLE:
+            run_litmus(
+                by_name(name).parse(), model, max_states=3000,
+                reduction="dpor",
+            )
+        compared.assert_clean()
+
+    def test_gen_wide(self, model, compared):
+        for test in _gen_wide_tests():
+            run_litmus(test, model, max_states=600, reduction="dpor")
+        compared.assert_clean()
+
+    def test_memo_serves_most_answers(self, model, compared, monkeypatch):
+        """Each distinct (path step, step) pair reaches ``_absdep`` once
+        per search; every other answer comes from the memo."""
+        from repro.concurrency.search import dpor
+
+        misses = []
+        absdep = dpor._absdep
+        monkeypatch.setattr(
+            dpor, "_absdep",
+            lambda a, b: misses.append((a, b)) or absdep(a, b),
+        )
+        run_litmus(
+            by_name("SB+syncs").parse(), model, max_states=3000,
+            reduction="dpor",
+        )
+        compared.assert_clean()
+        assert len(misses) == len(set(misses))
+        assert 0 < len(misses) < compared.dependence
+
+    def test_seeded_random_summaries(self):
+        """Every rule on random summaries and blobs, the searches' rare
+        corners included: tid-less coherence-point and acknowledgement
+        steps (no shift may see their None), leaking footprints, and blob
+        fields a sample search leaves empty."""
+        import random
+
+        from repro.concurrency.search.dpor import _absdep, _blob_dep
+
+        rng = random.Random(0)
+        kinds = (
+            ("commit_store", True), ("satisfy_read_storage", True),
+            ("resolve_sc", True), ("commit_barrier", True),
+            ("propagate_write", False), ("propagate_barrier", False),
+            ("reach_coherence_point", False), ("ack_sync", False),
+        )
+
+        def summary():
+            kind, side = rng.choice(kinds)
+            tid = None if kind in ("reach_coherence_point", "ack_sync") \
+                else rng.randrange(4)
+            bar = None
+            if kind in ("commit_barrier", "propagate_barrier"):
+                bar = (rng.random() < 0.5, rng.randrange(4),
+                       rng.randrange(3))
+            return (kind, tid, side, rng.randrange(32), rng.randrange(32),
+                    bar)
+
+        def blob():
+            return (
+                rng.randrange(16), rng.randrange(32), rng.randrange(32),
+                rng.random() < 0.1, rng.randrange(16), rng.randrange(16),
+                rng.randrange(16), rng.random() < 0.3,
+            )
+
+        for _ in range(3000):
+            a, b, summary_blob = summary(), summary(), blob()
+            assert _absdep(a, b) == _reference_absdep(
+                _summary_as_sets(a), _summary_as_sets(b)
+            ), (a, b)
+            assert _blob_dep(a, summary_blob) == _reference_blob_dep(
+                _summary_as_sets(a), _blob_as_sets(summary_blob)
+            ), (a, summary_blob)
 
 
 class TestDporBitIdentity:
