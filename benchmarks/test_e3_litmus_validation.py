@@ -33,13 +33,13 @@ def test_e3_litmus_validation(model, benchmark):
         entry for entry in corpus() if FULL or entry.name not in HEAVY
     ]
 
-    def run_corpus():
+    def run_entries():
         results = {}
         for entry in entries:
             results[entry.name] = run_litmus(entry.parse(), model)
         return results
 
-    results = benchmark.pedantic(run_corpus, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_entries, rounds=1, iterations=1)
 
     rows = []
     sound = exact = 0

@@ -11,12 +11,7 @@ from .exhaustive import (
     run_one,
 )
 from .keys import CachedKey
-from .parallel import (
-    CorpusReport,
-    CorpusTestResult,
-    default_job_count,
-    explore_corpus,
-)
+from .parallel import default_job_count
 from .params import DEFAULT_PARAMS, ModelParams
 from .search import SequentialDFS
 from .storage import CoherenceViolation, StorageSubsystem
@@ -28,8 +23,6 @@ __all__ = [
     "BarrierId",
     "CachedKey",
     "CoherenceViolation",
-    "CorpusReport",
-    "CorpusTestResult",
     "DEFAULT_PARAMS",
     "ExplorationLimit",
     "ExplorationResult",
@@ -47,7 +40,6 @@ __all__ = [
     "WriteId",
     "default_job_count",
     "explore",
-    "explore_corpus",
     "find_witness",
     "run_one",
 ]

@@ -72,10 +72,11 @@ def find_witness(
     witnessing execution found, or None if the predicate is unsatisfiable.
     The trace is the abstract-machine run behind the outcome -- the
     executable counterpart of the paper's execution diagrams.
-    ``reduction``/``context_bound`` behave as in ``explore``, except
-    that a search the budget or the context bound stopped raises
-    ``ExplorationLimit`` instead of returning an unsupported ``None``
-    (witness searches run ``dpor`` as sleep sets).
+    ``reduction``/``context_bound`` behave as in ``explore`` (``"dpor"``
+    runs the dpor driver, whose end-game cut extends the trace by its
+    deterministic playout), except that a search the budget or the
+    context bound stopped raises ``ExplorationLimit`` instead of
+    returning an unsupported ``None``.
     """
     return SequentialDFS(reduction, context_bound).find_witness(
         initial,
@@ -89,7 +90,9 @@ def run_one(initial: SystemState, choose=None, max_steps: int = 100000):
     """Run a single (pseudo-random or guided) execution to completion.
 
     ``choose(state, transitions)`` picks one transition; the default takes
-    the first.  Used by the interactive front-end and the emulator mode.
+    the first.  A library entry point (exercised by the tests); the
+    interactive front end steps with ``enumerate_transitions``/``apply``
+    itself.
     """
     state = initial
     last: Optional[Transition] = None

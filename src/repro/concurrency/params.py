@@ -15,8 +15,6 @@ from dataclasses import dataclass
 class ModelParams:
     cr_granularity: str = "bit"  # "bit" | "field" | "whole"
     max_instances_per_thread: int = 48
-    max_states: int = 2_000_000
-    forbid_undef_conditions: bool = True
 
 
 DEFAULT_PARAMS = ModelParams()

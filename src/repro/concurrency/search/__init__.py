@@ -13,8 +13,8 @@ runs out, or the context bound cuts a path.  ``explore`` then returns
 the outcomes found so far, flagged ``complete=False`` with a
 ``stop_reason``; those outcomes are real executions, so existential
 verdicts drawn from them survive.  Parallelism lives one level up: the
-corpus runner (``concurrency.parallel``) runs one test per worker
-process.
+service engine's ``run_batch`` runs one test per worker process
+(``concurrency.parallel``).
 """
 
 from __future__ import annotations

@@ -68,6 +68,13 @@ class ExplorationLimit(Exception):
         super().__init__(message)
         self.stats = stats
 
+    @classmethod
+    def over_budget(
+        cls, limit: int, stats: "ExplorationStats"
+    ) -> "ExplorationLimit":
+        """The stop every search driver raises when ``limit`` runs out."""
+        return cls(f"exceeded {limit} states; increase max_states", stats)
+
 
 @dataclass
 class ExplorationStats:
@@ -356,10 +363,7 @@ def run_search(
         # partial stats must equal the budget exactly, not overstate the
         # work by the one state that was never processed.
         if stats.states_visited >= limit:
-            raise ExplorationLimit(
-                f"exceeded {limit} states; increase params.max_states",
-                stats,
-            )
+            raise ExplorationLimit.over_budget(limit, stats)
         state, state_key, path, parent, parent_record, via = stack.pop()
         stats.states_visited += 1
         if state.is_final():
@@ -486,10 +490,7 @@ def _run_reduced(
     while stack:
         stats.max_frontier = max(stats.max_frontier, len(stack))
         if stats.states_visited >= limit:
-            raise ExplorationLimit(
-                f"exceeded {limit} states; increase params.max_states",
-                stats,
-            )
+            raise ExplorationLimit.over_budget(limit, stats)
         state, path, sleep, context, wake = stack.pop()
         stats.states_visited += 1
         if state.is_final():

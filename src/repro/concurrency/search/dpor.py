@@ -269,10 +269,7 @@ def run_dpor(
 
     def count_visit() -> None:
         if stats.states_visited >= limit:
-            raise ExplorationLimit(
-                f"exceeded {limit} states; increase params.max_states",
-                stats,
-            )
+            raise ExplorationLimit.over_budget(limit, stats)
         stats.states_visited += 1
 
     single_list = len(initial.storage.threads) <= 1

@@ -44,6 +44,10 @@ from ..symmetry import CanonicalKeys
 from ..system import SystemState
 
 
+#: The state budget of a search given no ``max_states``.
+DEFAULT_MAX_STATES = 2_000_000
+
+
 @dataclass(frozen=True)
 class SequentialDFS:
     """Memoised in-process DFS, with the pruning options applied."""
@@ -52,10 +56,16 @@ class SequentialDFS:
     context_bound: Optional[int] = None
 
     @staticmethod
-    def _limit(initial: SystemState, max_states: Optional[int]) -> int:
-        return (
-            max_states if max_states is not None else initial.params.max_states
-        )
+    def _limit(max_states: Optional[int]) -> int:
+        return DEFAULT_MAX_STATES if max_states is None else max_states
+
+    def _pruning(self, initial: SystemState):
+        """The search's reducer, canonical keys and empty seen store."""
+        reducer = make_reducer(self.reduction, self.context_bound)
+        if reducer is not None and reducer.dpor:
+            return reducer, CanonicalKeys(initial), {}
+        seen = {} if reducer is not None and reducer.sleep else set()
+        return reducer, None, seen
 
     def _truncated(self, reducer, search: str) -> Optional[str]:
         """Why a within-budget search is partial, or ``None``."""
@@ -77,15 +87,9 @@ class SequentialDFS:
         A search stopped by the state budget or the context bound returns
         its partial outcome set (``complete=False``) instead of raising.
         """
-        limit = self._limit(initial, max_states)
+        limit = self._limit(max_states)
         stats = ExplorationStats()
-        reducer = make_reducer(self.reduction, self.context_bound)
-        if reducer is not None and reducer.dpor:
-            canon = CanonicalKeys(initial)
-            seen = {}
-        else:
-            canon = None
-            seen = {} if reducer is not None and reducer.sleep else set()
+        reducer, canon, seen = self._pruning(initial)
         visitor = CollectOutcomes(tuple(memory_cells), collect_deadlocks)
         started = time.perf_counter()
         try:
@@ -117,16 +121,10 @@ class SequentialDFS:
         max_states: Optional[int] = None,
     ) -> Optional[Witness]:
         """Search for one execution whose outcome satisfies ``predicate``."""
-        limit = self._limit(initial, max_states)
+        limit = self._limit(max_states)
         stats = ExplorationStats()
         visitor = StopOnWitness(predicate, tuple(memory_cells))
-        # Witness searches run dpor as its (equally sound,
-        # envelope-preserving) sleep-set layer.  Whether the dpor driver,
-        # with its normal-form merging and end-game cut, could return
-        # witness traces itself is an open item in ROADMAP.md.
-        reduction = "sleep" if self.reduction == "dpor" else self.reduction
-        reducer = make_reducer(reduction, self.context_bound)
-        seen = {} if reducer is not None and reducer.sleep else set()
+        reducer, canon, seen = self._pruning(initial)
         started = time.perf_counter()
         try:
             found = run_search(
@@ -139,6 +137,7 @@ class SequentialDFS:
                 extend=extend_trace,
                 seen=seen,
                 reducer=reducer,
+                canon=canon,
             )
         finally:
             # Also on ExplorationLimit: the exception carries this same

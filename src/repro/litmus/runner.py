@@ -98,19 +98,6 @@ class LitmusResult:
         return regs, mem
 
 
-def addresses_for(test: LitmusTest) -> Dict[str, int]:
-    """The deterministic data-segment layout of a test's variables.
-
-    Shared by ``build_system`` and the service engine (which decodes
-    cached outcome sets back to variable names without rebuilding the
-    system state).
-    """
-    return {
-        var: DATA_BASE + i * DATA_STRIDE
-        for i, var in enumerate(test.locations())
-    }
-
-
 def build_system(
     test: LitmusTest,
     model: Optional[IsaModel] = None,
@@ -121,7 +108,10 @@ def build_system(
     assembler = Assembler(model)
     cell_size = 8 if test.doubleword else 4
 
-    addresses = addresses_for(test)
+    addresses = {
+        var: DATA_BASE + i * DATA_STRIDE
+        for i, var in enumerate(test.locations())
+    }
 
     program_memory: Dict[int, int] = {}
     entries: Dict[int, int] = {}
@@ -220,43 +210,3 @@ def run_litmus(
         addresses=addresses,
     )
 
-
-def run_corpus(
-    entries=None,
-    jobs: Optional[int] = None,
-    params: ModelParams = DEFAULT_PARAMS,
-    max_states: Optional[int] = None,
-    reduction: str = "none",
-    context_bound: Optional[int] = None,
-):
-    """Exhaustively run a corpus of litmus tests across worker processes.
-
-    ``entries`` may hold ``CorpusEntry``-like objects (anything with
-    ``name``/``source`` attributes) or plain ``(name, source)`` pairs;
-    ``None`` runs the built-in corpus.  ``jobs`` is the worker budget
-    (default: usable CPU count), one test per worker.  Returns a
-    ``repro.concurrency.parallel.CorpusReport`` with per-test verdicts
-    and merged ``ExplorationStats``.
-    ``reduction``/``context_bound`` apply the partial-order reduction
-    options to every test's search.
-    """
-    from ..concurrency.parallel import explore_corpus
-
-    if entries is None:
-        from .library import corpus
-
-        entries = corpus()
-    items = []
-    for entry in entries:
-        if isinstance(entry, tuple):
-            items.append(entry)
-        else:
-            items.append((entry.name, entry.source))
-    return explore_corpus(
-        items,
-        jobs=jobs,
-        params=params,
-        max_states=max_states,
-        reduction=reduction,
-        context_bound=context_bound,
-    )

@@ -3,9 +3,9 @@
 The query path is layered (see SERVICE.md):
 
 * ``engine`` -- ``EnvelopeEngine.run_request(request) -> Verdict``, the
-  one façade every entry point (CLI verbs, corpus runner, testgen
-  harness, daemon) calls; ``run_batch`` schedules many requests across
-  worker processes;
+  one façade every entry point (CLI verbs, testgen harness, daemon)
+  calls; ``run_batch`` answers many requests, its workers running the
+  same single-request body on each cache miss;
 * ``cache`` -- the persistent content-hash-keyed verdict store;
 * ``daemon``/``client`` -- ``ppcmem2 serve`` and ``ppcmem2 client``,
   the HTTP service and its thin stdlib client;

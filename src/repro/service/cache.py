@@ -63,6 +63,8 @@ from ..concurrency.params import DEFAULT_PARAMS, ModelParams
 #: 3: a search the state budget stops returns its partial outcome set,
 #: so a budget-limited verdict may be "Allowed" where it was an empty
 #: "StateLimit"; the ``strategy`` field was dropped with the same bump.
+#: ``ModelParams`` lost two fields later without a bump, for the same
+#: reasons as above.
 SCHEMA_VERSION = 3
 
 

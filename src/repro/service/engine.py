@@ -1,11 +1,10 @@
 """The envelope engine: one request API over the whole query path.
 
 Every way of asking the oracle a question -- ``ppcmem2 run`` on a file,
-the corpus runner, the testgen harness's ``check_suite``, the serve
-daemon's job queue -- used to build its own reduction/budget
-plumbing and call ``run_litmus``/``run_corpus`` directly.  This module
-inverts that: ``EnvelopeEngine.run_request(request) -> Verdict`` is the
-single façade, with
+the ``corpus``/``litmus``/``gen --check`` verbs, the testgen harness's
+``check_suite``, the serve daemon's job queue -- goes through
+``EnvelopeEngine``: ``run_request(request) -> Verdict`` is the single
+façade, with
 
 * canonicalisation: the litmus source is parsed and re-emitted through
   ``litmus/emit.emit_litmus`` (a parse/emit fixed point), so two
@@ -14,9 +13,11 @@ single façade, with
   stored verdict in microseconds, and any parameter change (budget,
   reduction, context bound, ...) correctly misses because the
   parameters are part of the key (``service.cache.cache_key``);
-* ``run_batch`` for many requests at once, scheduling cache misses
-  through the parallel corpus runner, one test per worker -- this is
-  the daemon's job executor.
+* ``run_batch`` for many requests at once: it resolves and looks up
+  each request as ``run_request`` does, and its misses run one per
+  worker process through ``_explore``, the same single-request body,
+  so one ``Verdict`` type travels from worker to caller -- this is the
+  daemon's job executor.
 
 Verdicts are plain data (JSON-serialisable via ``to_payload``), so the
 same object flows from the engine into the cache, over the daemon's
@@ -46,8 +47,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: The JSON "options" the daemon accepts, each with a check on its value
-#: and what the value must be.
+#: The search options of a request (the JSON "options" the daemon
+#: accepts), each with a check on its value and what the value must be.
 REQUEST_OPTIONS = {
     "reduction": (
         lambda value: isinstance(value, str) and value in REDUCTIONS,
@@ -68,17 +69,29 @@ REQUEST_OPTIONS = {
 }
 
 
+def check_option(option: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is valid for ``option``.
+
+    The one range check of every search option: each ``EngineRequest``
+    runs it on construction, and the CLI parses its flags through it.
+    """
+    valid, rule = REQUEST_OPTIONS[option]
+    if not valid(value):
+        raise ValueError(f"option {option!r} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineRequest:
     """One oracle query: a litmus source plus the exploration parameters.
 
     Every field is plain data, so requests serialise over the service
-    protocol unchanged.
+    protocol unchanged.  Every value is checked on construction, before
+    anything is resolved, run or cached; a bad one raises ``ValueError``
+    naming the field or option.
 
     ``symmetry`` is accepted only as ``False``: thread-symmetry
     reduction was removed, and callers that still pass the field keep
-    working.  ``resolve`` refuses ``True``; the field is not in the
-    cache key.
+    working.  The field is not in the cache key.
     """
 
     source: str
@@ -88,36 +101,30 @@ class EngineRequest:
     symmetry: bool = False
     max_states: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.source, str):
+            raise ValueError(
+                f"'source' must be a string, got {type(self.source).__name__}"
+            )
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(
+                "'name' must be a string or null, "
+                f"got {type(self.name).__name__}"
+            )
+        for option in REQUEST_OPTIONS:
+            check_option(option, getattr(self, option))
+
     @classmethod
     def from_options(
         cls, source: str, name: Optional[str] = None, options: Optional[dict] = None
     ) -> "EngineRequest":
-        """Build a request from a JSON-safe options dict (daemon path).
-
-        Every value is checked here, before anything is resolved, run
-        or cached; a bad one raises ``ValueError`` naming the field or
-        option.
-        """
-        if not isinstance(source, str):
-            raise ValueError(
-                f"'source' must be a string, got {type(source).__name__}"
-            )
-        if name is not None and not isinstance(name, str):
-            raise ValueError(
-                f"'name' must be a string or null, got {type(name).__name__}"
-            )
+        """Build a request from a JSON-safe options dict (daemon path)."""
         options = options or {}
         if not isinstance(options, dict):
             raise ValueError(f"options must be an object, got {options!r}")
         unknown = set(options) - set(REQUEST_OPTIONS)
         if unknown:
             raise ValueError(f"unknown request options: {sorted(unknown)}")
-        for option, value in options.items():
-            valid, rule = REQUEST_OPTIONS[option]
-            if not valid(value):
-                raise ValueError(
-                    f"option {option!r} must be {rule}, got {value!r}"
-                )
         return cls(source=source, name=name, **options)
 
 
@@ -217,7 +224,6 @@ class _Resolved:
 
     name: str
     test: Any  # parsed LitmusTest
-    canonical_source: str
     reduction: str
     context_bound: Optional[int]
     max_states: Optional[int]
@@ -256,8 +262,8 @@ class EnvelopeEngine:
     ``cache`` is an optional ``VerdictCache``; without one every request
     explores cold (the pre-service behaviour).  ``params`` are the model
     parameters (part of the key).  Every request runs on the
-    process-wide ISA model (``isa.model.default_model``), as the corpus
-    workers ``run_batch`` fans out to do.
+    process-wide ISA model (``isa.model.default_model``), in this
+    process or in the workers ``run_batch`` fans out to.
     """
 
     def __init__(
@@ -286,15 +292,9 @@ class EnvelopeEngine:
         from ..litmus.emit import emit_litmus
         from ..litmus.parser import parse_litmus
 
-        if request.symmetry:
-            raise ValueError(
-                f"option 'symmetry' must be {REQUEST_OPTIONS['symmetry'][1]}, "
-                f"got {request.symmetry!r}"
-            )
         test = parse_litmus(request.source)
-        canonical = emit_litmus(test)
         key = cache_key(
-            canonical,
+            emit_litmus(test),
             reduction=request.reduction,
             context_bound=request.context_bound,
             max_states=request.max_states,
@@ -303,7 +303,6 @@ class EnvelopeEngine:
         return _Resolved(
             name=request.name or test.name,
             test=test,
-            canonical_source=canonical,
             reduction=request.reduction,
             context_bound=request.context_bound,
             max_states=request.max_states,
@@ -332,53 +331,40 @@ class EnvelopeEngine:
     ) -> BatchResult:
         """Answer many requests, fanning cache misses across workers.
 
-        Misses are grouped by their (reduction, context bound, budget)
-        parameter tuple and each group runs through the parallel corpus
-        runner, one test per worker within the ``jobs`` budget.  Verdict order matches
-        request order.
+        Every request is resolved and looked up as in ``run_request``.
+        The misses run one per worker process within the ``jobs`` budget
+        (default: usable CPUs); each worker runs ``_explore`` on its
+        resolved request, in an engine with no cache, and the verdicts
+        it returns are stored here.  Verdict order matches request
+        order.
         """
-        from ..concurrency.parallel import explore_corpus
+        from ..concurrency.parallel import (
+            corpus_job_count,
+            default_job_count,
+            pool_map,
+        )
 
         started = time.perf_counter()
         resolved = [self.resolve(request) for request in requests]
-        verdicts: List[Optional[Verdict]] = [None] * len(resolved)
-        hits = 0
-        for i, res in enumerate(resolved):
-            hit = self._lookup(res)
-            if hit is not None:
-                verdicts[i] = hit
-                hits += 1
-        miss_groups: Dict[Tuple, List[int]] = {}
-        for i, res in enumerate(resolved):
-            if verdicts[i] is None:
-                group = (res.reduction, res.context_bound, res.max_states)
-                miss_groups.setdefault(group, []).append(i)
-        report_jobs = 1
-        for (reduction, context_bound, max_states), indexes in (
-            miss_groups.items()
-        ):
-            report = explore_corpus(
-                [
-                    (resolved[i].name, resolved[i].canonical_source)
-                    for i in indexes
-                ],
-                jobs=jobs,
-                params=self.params,
-                max_states=max_states,
-                reduction=reduction,
-                context_bound=context_bound,
-            )
-            report_jobs = max(report_jobs, report.jobs)
-            for i, result in zip(indexes, report.results):
-                verdict = self._verdict_from_corpus(resolved[i], result)
-                verdicts[i] = verdict
-                self._store(resolved[i], verdict)
+        verdicts = [self._lookup(res) for res in resolved]
+        misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        workers = corpus_job_count(
+            jobs if jobs is not None else default_job_count(), len(misses)
+        )
+        explored = pool_map(
+            EnvelopeEngine(params=self.params)._explore,
+            [resolved[i] for i in misses],
+            workers,
+        )
+        for i, verdict in zip(misses, explored):
+            verdicts[i] = verdict
+            self._store(resolved[i], verdict)
         return BatchResult(
-            verdicts=list(verdicts),
-            jobs=report_jobs,
+            verdicts=verdicts,
+            jobs=workers,
             wall_seconds=time.perf_counter() - started,
-            hits=hits,
-            misses=len(resolved) - hits,
+            hits=len(resolved) - len(misses),
+            misses=len(misses),
         )
 
     # ------------------------------------------------------------------
@@ -394,6 +380,12 @@ class EnvelopeEngine:
         self.cache.put(resolved.key, verdict.name, verdict.to_payload())
 
     def _explore(self, resolved: _Resolved) -> Verdict:
+        """The single-request body: run one resolved request's search.
+
+        ``run_request`` calls it in process and ``run_batch``'s workers
+        call it on an engine with no cache; it never reads or writes the
+        cache itself.
+        """
         from ..litmus.runner import run_litmus
 
         result = run_litmus(
@@ -416,45 +408,5 @@ class EnvelopeEngine:
             outcome_lines=tuple(result.outcome_table()),
             stats=_stats_to_dict(exploration.stats),
             error=exploration.stop_reason,
-            key=resolved.key,
-        )
-
-    def _verdict_from_corpus(self, resolved: _Resolved, result) -> Verdict:
-        """Adapt a worker's ``CorpusTestResult`` into a ``Verdict``.
-
-        The outcome table is recomputed here (workers ship only the raw
-        outcome tuples): the address layout is a deterministic function
-        of the test, so the decoded lines are identical to what a
-        single-process run would have printed.
-        """
-        from ..concurrency.search.core import ExplorationResult
-        from ..litmus.runner import LitmusResult, addresses_for
-
-        lines: Tuple[Tuple[str, bool], ...] = ()
-        if result.outcomes:
-            shell = LitmusResult(
-                test=resolved.test,
-                outcomes=set(result.outcomes),
-                witnessed=result.witnessed,
-                holds_always=result.holds_always,
-                exploration=ExplorationResult(
-                    outcomes=set(result.outcomes),
-                    stats=result.stats,
-                    stop_reason=result.error,
-                ),
-                addresses=addresses_for(resolved.test),
-            )
-            lines = tuple(shell.outcome_table())
-        return Verdict(
-            name=resolved.name,
-            status=result.status,
-            quantifier=resolved.test.quantifier,
-            witnessed=result.witnessed,
-            holds_always=result.holds_always,
-            complete=result.complete,
-            outcomes=frozenset(result.outcomes),
-            outcome_lines=lines,
-            stats=_stats_to_dict(result.stats),
-            error=result.error,
             key=resolved.key,
         )

@@ -40,7 +40,7 @@ Cycle-level expectations:
   3+-thread cycles (WRC+addrs vs WRC+lwsync+addr).
 
 ``check_suite`` runs a generated suite through the exhaustive explorer
-(via the parallel corpus runner) and reports every test whose verdict
+(one ``EnvelopeEngine.run_batch``, one test per worker) and reports every test whose verdict
 contradicts its expectation; each check records which oracle tier
 decided it (``OracleCheck.oracle``).  A search the state budget stops
 still checks the verdict its partial outcomes prove (an "Allowed"

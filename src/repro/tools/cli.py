@@ -25,6 +25,8 @@ of sleep sets), ``--context-bound N`` (sound under-approximation) and
 answered in microseconds).  A test whose search the state budget or the
 context bound stops reports the verdict its partial outcomes prove
 ("StateLimit" for a universal claim) and why it did not complete.
+A search flag the engine would refuse (``EngineRequest`` checks every
+value), or a ``--jobs`` below 1, is a usage error (exit code 2).
 
 The interactive mode shows Fig. 3-style system states: storage subsystem
 contents (writes seen, coherence, propagation lists, unacknowledged syncs)
@@ -36,12 +38,53 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from ..concurrency.search import REDUCTIONS
 from ..litmus.library import corpus
 from ..litmus.parser import parse_litmus
 from ..litmus.runner import build_system
+from ..service.engine import EngineRequest, EnvelopeEngine, check_option
+
+
+def _int_flag(check):
+    """An argparse ``type``: an integer that ``check`` accepts.
+
+    ``check`` raises ``ValueError`` on a value it refuses, and argparse
+    reports that as a usage error before anything runs.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _request_option(option: str):
+    """A flag for request option ``option``, range-checked by the engine."""
+    return _int_flag(partial(check_option, option))
+
+
+def _worker_count(value: int) -> None:
+    if value < 1:
+        raise ValueError(f"jobs must be >= 1, got {value}")
+
+
+def _add_jobs_arg(parser: argparse.ArgumentParser, default, help: str) -> None:
+    parser.add_argument(
+        "--jobs", type=_int_flag(_worker_count), default=default, help=help
+    )
 
 
 def _add_cache_arg(parser: argparse.ArgumentParser) -> None:
@@ -66,7 +109,7 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--context-bound",
-        type=int,
+        type=_request_option("context_bound"),
         default=None,
         help="cut paths with more than N context switches; the result "
         "becomes a sound under-approximation (StateLimit on "
@@ -76,8 +119,6 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
 
 def _engine_from(args):
     """The service engine behind every oracle verb (cache optional)."""
-    from ..service.engine import EnvelopeEngine
-
     cache = None
     if getattr(args, "cache", None):
         from ..service.cache import VerdictCache
@@ -87,8 +128,6 @@ def _engine_from(args):
 
 
 def _request_for(source, name, args, max_states=None):
-    from ..service.engine import EngineRequest
-
     return EngineRequest(
         source=source,
         name=name,
@@ -118,11 +157,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     corpus_parser = sub.add_parser(
         "corpus", help="run the built-in litmus corpus"
     )
-    corpus_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="number of worker processes (default 1: run in-process)",
+    _add_jobs_arg(
+        corpus_parser, 1,
+        "number of worker processes (default 1: run in-process)",
     )
     _add_search_args(corpus_parser)
     _add_cache_arg(corpus_parser)
@@ -139,14 +176,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="include the built-in corpus in addition to any files",
     )
-    litmus_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="number of worker processes (default: CPU count)",
+    _add_jobs_arg(
+        litmus_parser, None, "number of worker processes (default: CPU count)"
     )
     litmus_parser.add_argument(
-        "--max-states", type=int, default=None, help="state budget per test"
+        "--max-states",
+        type=_request_option("max_states"),
+        default=None,
+        help="state budget per test",
     )
     _add_search_args(litmus_parser)
     _add_cache_arg(litmus_parser)
@@ -183,15 +220,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="run the suite through the explorer and check envelope invariants",
     )
-    gen_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for --check (default: CPU count)",
+    _add_jobs_arg(
+        gen_parser, None, "worker processes for --check (default: CPU count)"
     )
     gen_parser.add_argument(
         "--max-states",
-        type=int,
+        type=_request_option("max_states"),
         default=150000,
         help="state budget per test for --check (default 150000)",
     )
@@ -213,11 +247,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="verdict cache sqlite file (default: in-memory, lost on exit)",
     )
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker budget per batch (default: usable CPU count)",
+    _add_jobs_arg(
+        serve_parser, None,
+        "worker budget per batch (default: usable CPU count)",
     )
 
     client_parser = sub.add_parser(
@@ -235,7 +267,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run", help="run one litmus test through the daemon (synchronous)"
     )
     client_run.add_argument("test", help="path to a .litmus file")
-    client_run.add_argument("--max-states", type=int, default=None)
+    client_run.add_argument(
+        "--max-states", type=_request_option("max_states"), default=None
+    )
     _add_search_args(client_run)
     client_submit = client_sub.add_parser(
         "submit", help="submit a batch job (async; --wait polls for results)"
@@ -250,7 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     client_submit.add_argument("--gen-size", type=int, default=20)
     client_submit.add_argument("--gen-max-threads", type=int, default=4)
     client_submit.add_argument("--gen-max-run", type=int, default=2)
-    client_submit.add_argument("--max-states", type=int, default=None)
+    client_submit.add_argument(
+        "--max-states", type=_request_option("max_states"), default=None
+    )
     client_submit.add_argument(
         "--wait", action="store_true", help="poll until done, print verdicts"
     )

@@ -143,6 +143,78 @@ class TestCli:
         assert "0 violation(s)" in err
 
 
+class TestBadSearchValues:
+    """A value the engine would refuse is a usage error on every verb,
+    reported before anything is explored or served."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["litmus", "{test}", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["corpus", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["gen", "--size", "1", "--check", "--jobs", "-1"],
+             "jobs must be >= 1, got -1"),
+            (["serve", "--port", "0", "--jobs", "0"],
+             "jobs must be >= 1, got 0"),
+            (["run", "{test}", "--context-bound", "-1"],
+             "option 'context_bound' must be an integer >= 0"),
+            (["litmus", "{test}", "--max-states", "-5"],
+             "option 'max_states' must be an integer >= 1"),
+            (["gen", "--size", "1", "--check", "--max-states", "0"],
+             "option 'max_states' must be an integer >= 1"),
+            (["client", "run", "{test}", "--max-states", "0"],
+             "option 'max_states' must be an integer >= 1"),
+            (["litmus", "{test}", "--max-states", "many"],
+             "invalid int value: 'many'"),
+        ],
+        ids=[
+            "litmus-jobs", "corpus-jobs", "gen-jobs", "serve-jobs",
+            "run-context-bound", "litmus-max-states", "gen-max-states",
+            "client-max-states", "not-an-int",
+        ],
+    )
+    def test_usage_error(self, argv, message, mp_litmus, monkeypatch,
+                         capsys):
+        import repro.service.daemon as daemon
+
+        # A daemon started by mistake would serve forever; fail instead.
+        monkeypatch.setattr(daemon, "serve", lambda **kwargs: 0)
+        argv = [mp_litmus if arg == "{test}" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_states": 0},
+            {"max_states": -5},
+            {"context_bound": -1},
+            {"reduction": "fast"},
+            {"symmetry": True},
+            {"max_states": 2.5},
+        ],
+        ids=["max_states-zero", "max_states-negative",
+             "context_bound-negative", "reduction-unknown", "symmetry-true",
+             "max_states-float"],
+    )
+    def test_every_request_construction_is_checked(self, fields):
+        from repro.service.engine import EngineRequest
+
+        (option,) = fields
+        with pytest.raises(ValueError, match=f"option '{option}' must be"):
+            EngineRequest(source=by_name("MP").source, **fields)
+
+    def test_non_string_source_is_refused(self):
+        from repro.service.engine import EngineRequest
+
+        with pytest.raises(ValueError, match="'source' must be a string"):
+            EngineRequest(source=None)
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__

@@ -70,7 +70,7 @@ class Frontier:
         # work by the one state that was never processed.
         if stats.states_visited >= self.limit:
             raise ExplorationLimit(
-                f"exceeded {self.limit} states; increase params.max_states",
+                f"exceeded {self.limit} states; increase max_states",
                 stats,
             )
         state, payload = self.stack.pop()

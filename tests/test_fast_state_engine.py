@@ -8,7 +8,7 @@ Covers the three layers of the exploration hot path:
     through the eager deep-clone reference path;
   * the shared frontier bookkeeping: ``find_witness`` reports the same
     ``ExplorationStats`` accounting as ``explore``;
-  * the parallel corpus runner: worker-sharded runs agree bit-for-bit with
+  * the batch path's worker pool: worker runs agree bit-for-bit with
     in-process runs.
 """
 
@@ -18,7 +18,8 @@ from repro.concurrency.exhaustive import explore, find_witness, run_one
 from repro.concurrency.thread import ModelError
 from repro.isa.model import default_model
 from repro.litmus.library import by_name
-from repro.litmus.runner import build_system, run_corpus, run_litmus
+from repro.litmus.runner import build_system, run_litmus
+from repro.service.engine import EngineRequest, EnvelopeEngine
 from repro.tools.cli import main
 
 DETERMINISM_TESTS = ["MP", "SB+syncs", "WRC+sync+addr"]
@@ -185,42 +186,51 @@ class TestRunOneDiagnostics:
 class TestParallelCorpusRunner:
     NAMES = ["CoRR", "MP", "SB", "LB"]
 
+    @staticmethod
+    def _batch(names, jobs):
+        return EnvelopeEngine().run_batch(
+            [EngineRequest(source=by_name(name).source) for name in names],
+            jobs=jobs,
+        )
+
     def test_parallel_matches_serial(self, model):
         entries = [by_name(name) for name in self.NAMES]
         serial = {
             entry.name: run_litmus(entry.parse(), model) for entry in entries
         }
-        report = run_corpus(entries, jobs=2)
-        assert report.jobs == 2
-        assert [r.name for r in report.results] == self.NAMES
-        for result in report.results:
-            reference = serial[result.name]
-            assert result.status == reference.status
-            assert result.outcomes == reference.outcomes
+        batch = self._batch(self.NAMES, jobs=2)
+        assert batch.jobs == 2
+        assert [v.name for v in batch.verdicts] == self.NAMES
+        for verdict in batch.verdicts:
+            reference = serial[verdict.name]
+            assert verdict.status == reference.status
+            assert verdict.outcomes == reference.outcomes
             assert (
-                result.stats.states_visited
+                verdict.stats["states_visited"]
                 == reference.exploration.stats.states_visited
             )
 
     def test_merged_stats_are_sums(self, model):
-        entries = [by_name(name) for name in self.NAMES]
-        report = run_corpus(entries, jobs=1)
-        merged = report.merged_stats()
-        assert merged.states_visited == sum(
-            r.stats.states_visited for r in report.results
-        )
-        assert merged.transitions_taken == sum(
-            r.stats.transitions_taken for r in report.results
-        )
-        assert merged.max_frontier == max(
-            r.stats.max_frontier for r in report.results
-        )
+        for jobs in (1, 2):
+            batch = self._batch(self.NAMES, jobs=jobs)
+            merged = batch.merged_stats()
+            assert merged.states_visited == sum(
+                v.stats["states_visited"] for v in batch.verdicts
+            )
+            assert merged.transitions_taken == sum(
+                v.stats["transitions_taken"] for v in batch.verdicts
+            )
+            assert merged.max_frontier == max(
+                v.stats["max_frontier"] for v in batch.verdicts
+            )
 
     def test_accepts_name_source_pairs(self, model):
         entry = by_name("MP")
-        report = run_corpus([(entry.name, entry.source)], jobs=1)
-        assert report.results[0].name == "MP"
-        assert report.results[0].status == "Allowed"
+        batch = EnvelopeEngine().run_batch(
+            [EngineRequest(source=entry.source, name=entry.name)], jobs=1
+        )
+        assert batch.verdicts[0].name == "MP"
+        assert batch.verdicts[0].status == "Allowed"
 
 
 class TestLitmusCli:

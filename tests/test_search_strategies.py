@@ -28,7 +28,8 @@ from repro.concurrency.parallel import corpus_job_count, default_job_count
 from repro.concurrency.search import SequentialDFS
 from repro.isa.model import default_model
 from repro.litmus.library import by_name, corpus
-from repro.litmus.runner import build_system, run_corpus, run_litmus
+from repro.litmus.runner import build_system, run_litmus
+from repro.service.engine import EngineRequest, EnvelopeEngine
 
 #: 3-4 thread tests whose exhaustive exploration takes minutes
 #: (mirrors tests/test_litmus_corpus.py; IRIW+syncs exceeds the budget).
@@ -163,6 +164,72 @@ class TestWitnessEquivalence:
         assert search.find_witness(system, lambda outcome: False) is None
 
 
+class TestDporWitness:
+    """dpor answers witness searches itself, with valid traces."""
+
+    #: Every curated test but IRIW, IRIW+syncs, RWC+syncs and ISA2
+    #: completes under dpor within this budget.
+    BUDGET = 2_000
+
+    def test_curated_witnesses_match_the_verdict(self, model, monkeypatch):
+        from repro.concurrency.search import dpor
+        from repro.concurrency.search.core import outcome_of
+        from repro.litmus.test import condition_locations, evaluate_condition
+
+        driver_calls = []
+        run_dpor = dpor.run_dpor
+
+        def counting_run_dpor(*args, **kwargs):
+            driver_calls.append(kwargs["extend"] is not None)
+            return run_dpor(*args, **kwargs)
+
+        monkeypatch.setattr(dpor, "run_dpor", counting_run_dpor)
+        checked = 0
+        for entry in corpus():
+            test = entry.parse()
+            reference = run_litmus(
+                test, model, max_states=self.BUDGET, reduction="dpor"
+            )
+            if not reference.exploration.complete:
+                continue
+            system, addresses = build_system(test, model)
+            size = 8 if test.doubleword else 4
+            cells = [
+                (addresses[var], size)
+                for var in sorted(set(condition_locations(test.condition)))
+            ]
+            names = {addr: var for var, addr in addresses.items()}
+
+            def satisfies(outcome):
+                registers, memory = outcome
+                return evaluate_condition(
+                    test.condition,
+                    {(tid, reg): value for tid, reg, value in registers},
+                    {names[addr]: value for addr, _size, value in memory
+                     if addr in names},
+                )
+
+            witness = SequentialDFS("dpor").find_witness(
+                system, satisfies, cells, max_states=self.BUDGET
+            )
+            assert (witness is not None) == reference.witnessed, entry.name
+            checked += 1
+            if witness is None:
+                continue
+            state = system
+            for transition in witness.trace:
+                state = state.apply(transition)
+            assert state.is_final(), entry.name
+            assert state.key() == witness.final_state.key(), entry.name
+            assert any(
+                satisfies(outcome) for outcome in outcome_of(state, cells)
+            ), entry.name
+        assert checked >= 44
+        # One explore and one witness search per checked test, both run
+        # by the dpor driver.
+        assert driver_calls.count(True) == checked
+
+
 class TestBoundedDegradation:
     """A search the state budget stops returns a flagged partial result."""
 
@@ -172,7 +239,7 @@ class TestBoundedDegradation:
         assert result.status == "StateLimit"
         assert not result.exploration.complete
         assert result.exploration.stop_reason == (
-            "exceeded 200 states; increase params.max_states"
+            "exceeded 200 states; increase max_states"
         )
         assert result.exploration.stats.states_visited == 200
         full = run_litmus(test, model)
@@ -257,13 +324,15 @@ class TestPartialStatsAccounting:
 
     def test_corpus_totals_count_exhausted_work(self, model):
         entry = by_name("SB+syncs")
-        report = run_corpus([entry], jobs=1, max_states=100)
-        result = report.results[0]
-        assert result.status == "StateLimit"
-        assert not result.complete
-        assert result.error
-        assert result.stats.states_visited > 0
-        assert report.merged_stats().states_visited > 0
+        request = EngineRequest(source=entry.source, max_states=100)
+        for jobs in (1, 2):
+            batch = EnvelopeEngine().run_batch([request] * 2, jobs=jobs)
+            for verdict in batch.verdicts:
+                assert verdict.status == "StateLimit"
+                assert not verdict.complete
+                assert verdict.error
+                assert verdict.stats["states_visited"] > 0
+            assert batch.merged_stats().states_visited > 0
 
 
 class TestWorkerBudgetComposition:

@@ -369,7 +369,7 @@ class TestRunBatch:
         [
             (
                 {"max_states": 100},
-                "exceeded 100 states; increase params.max_states",
+                "exceeded 100 states; increase max_states",
             ),
             ({"context_bound": 1}, "context bound 1 truncated the search"),
         ],
