@@ -6,7 +6,8 @@ time across ``multiprocessing`` workers, each of which builds (or, with
 the ``fork`` start method, inherits) the process-wide ISA model.  The
 service engine's ``run_batch`` is its one caller: every worker runs the
 engine's single-request body on one resolved request and returns its
-``Verdict``.  ``corpus_job_count`` sizes the pool.
+``Verdict``.  ``corpus_job_count`` sizes the pool, and
+``check_job_budget`` refuses a budget below 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ def default_job_count() -> int:
         return os.cpu_count() or 1
 
 
+def check_job_budget(budget: int) -> int:
+    """``budget``, if it is a usable worker budget (at least 1)."""
+    if budget < 1:
+        raise ValueError(f"jobs must be >= 1, got {budget}")
+    return budget
+
+
 def corpus_job_count(budget: int, test_count: int) -> int:
     """Worker processes for ``test_count`` tests under a ``budget``.
 
@@ -36,9 +44,7 @@ def corpus_job_count(budget: int, test_count: int) -> int:
     0: an empty corpus runs inline (1) instead of starting workers for
     work that does not exist.  A budget below 1 is an error.
     """
-    if budget < 1:
-        raise ValueError(f"jobs must be >= 1, got {budget}")
-    return max(1, min(budget, test_count))
+    return max(1, min(check_job_budget(budget), test_count))
 
 
 def _init_worker() -> None:

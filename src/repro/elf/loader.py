@@ -62,8 +62,11 @@ def load_into_machine(
     machine: SequentialMachine, loaded: LoadedProgram
 ) -> None:
     """Install a loaded program into a sequential machine."""
-    for addr, word in loaded.program_memory.items():
-        machine.memory.load_bytes(addr, struct.pack(">I", word))
-    for addr, byte in loaded.data_bytes.items():
-        machine.memory.load_bytes(addr, bytes([byte]))
+    image = {
+        addr + i: byte
+        for addr, word in loaded.program_memory.items()
+        for i, byte in enumerate(struct.pack(">I", word))
+    }
+    image.update(loaded.data_bytes)
+    machine.memory.load_image(image)
     machine.cia = loaded.entry

@@ -32,6 +32,15 @@ from .format import (
 _BE = ">"
 
 
+def _unpack(fmt: str, blob: bytes, start: int, what: str) -> tuple:
+    """``struct.unpack`` of the record at ``start``; a record cut off by
+    the end of the file is an ``ElfError`` naming ``what``."""
+    end = start + struct.calcsize(fmt)
+    if end > len(blob):
+        raise ElfError(f"{what} extends past end of file")
+    return struct.unpack(fmt, blob[start:end])
+
+
 def read_elf(blob: bytes) -> ElfImage:
     """Parse an ELF64BE executable into an ``ElfImage``."""
     if len(blob) < EHDR_SIZE:
@@ -90,7 +99,7 @@ def _read_segments(blob, phoff, phentsize, phnum) -> List[Segment]:
             p_filesz,
             p_memsz,
             _p_align,
-        ) = struct.unpack(_BE + "IIQQQQQQ", blob[start : start + PHDR_SIZE])
+        ) = _unpack(_BE + "IIQQQQQQ", blob, start, "program header")
         if p_type != PT_LOAD:
             continue
         if p_offset + p_filesz > len(blob):
@@ -115,7 +124,7 @@ def _read_symbols(blob, shoff, shentsize, shnum) -> List[Symbol]:
     for i in range(shnum):
         start = shoff + i * SHDR_SIZE
         headers.append(
-            struct.unpack(_BE + "IIQQQQIIQQ", blob[start : start + SHDR_SIZE])
+            _unpack(_BE + "IIQQQQIIQQ", blob, start, "section header")
         )
     symbols: List[Symbol] = []
     for header in headers:
@@ -135,11 +144,13 @@ def _read_symbols(blob, shoff, shentsize, shnum) -> List[Symbol]:
         for index in range(count):
             start = offset + index * SYM_SIZE
             st_name, st_info, _other, _shndx, st_value, st_size = (
-                struct.unpack(_BE + "IBBHQQ", blob[start : start + SYM_SIZE])
+                _unpack(_BE + "IBBHQQ", blob, start, "symbol")
             )
             if st_name == 0:
                 continue
-            end = strtab.index(b"\x00", st_name)
+            end = strtab.find(b"\x00", st_name)
+            if end < 0:
+                raise ElfError("symbol name runs past its string table")
             symbols.append(
                 Symbol(
                     name=strtab[st_name:end].decode(),

@@ -99,6 +99,26 @@ class Memory:
         for i, byte in enumerate(data):
             self._bytes[(addr + i) & _ADDRESS_MASK] = _BYTE_VALUES[byte]
 
+    def load_image(self, image: Dict[int, int]) -> None:
+        """Install a whole ``{address: byte}`` image in one update.
+
+        Addresses wrap as in ``load_bytes``; each byte (0..255) becomes
+        its shared concrete value.
+        """
+        self._bytes.update(
+            {
+                addr & _ADDRESS_MASK: _BYTE_VALUES[byte]
+                for addr, byte in image.items()
+            }
+        )
+
+    def holds_image(self, image: Dict[int, int]) -> bool:
+        """True when memory is exactly ``image``: the same addresses, each
+        holding its byte (0..255) with every bit known."""
+        return self._bytes == {
+            addr: _BYTE_VALUES[byte] for addr, byte in image.items()
+        }
+
     def snapshot(self) -> Dict[int, Bits]:
         return dict(self._bytes)
 
@@ -138,10 +158,9 @@ class SequentialMachine:
         """Execute one instruction; returns the next instruction address."""
         if instruction.is_invalid_form:
             raise SequentialError(f"invalid form: {instruction}")
-        # Route stepping through the model so the configured Sail backend
-        # (compiled or interpreter) drives sequential execution too, and
-        # the golden-emulator co-execution path exercises the same engine
-        # as the concurrent explorer.
+        # Step through the model's memoised compiled Sail, so sequential
+        # execution (and the golden-emulator co-execution path) runs the
+        # same engine as the concurrent explorer.
         model = self.model
         state = model.initial_state(instruction)
         nia: Optional[int] = None

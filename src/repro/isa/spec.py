@@ -101,18 +101,25 @@ class InstructionSpec:
     invalid_when: Optional[str] = None  # Python expression over field values
     category: str = ""  # finer grouping for the coverage table
 
+    def __post_init__(self) -> None:
+        # Decoding tries ``matches`` on many specs per word: fix the opcode
+        # bits' mask and value once per spec.
+        mask = value = 0
+        for f in self.layout:
+            if f.name is None:
+                mask |= f.mask
+                value |= f.value << f.shift
+        object.__setattr__(self, "_fixed", (mask, value))
+
     # -- encoding ------------------------------------------------------
 
     def operand_fields(self) -> Tuple[FieldDef, ...]:
         return tuple(f for f in self.layout if f.name is not None)
 
     def fixed_mask_value(self) -> Tuple[int, int]:
-        mask = value = 0
-        for f in self.layout:
-            if f.name is None:
-                mask |= f.mask
-                value |= f.value << f.shift
-        return mask, value
+        """The opcode bits' ``(mask, value)``: ``word`` decodes as this
+        spec when ``word & mask == value``."""
+        return self._fixed
 
     def primary_opcode(self) -> int:
         first = self.layout[0]
@@ -146,7 +153,7 @@ class InstructionSpec:
         }
 
     def matches(self, word: int) -> bool:
-        mask, value = self.fixed_mask_value()
+        mask, value = self._fixed
         return (word & mask) == value
 
     def is_invalid_form(self, fields: Dict[str, int]) -> bool:

@@ -265,10 +265,21 @@ class Bits:
         )
 
     def replicate(self, count: int) -> "Bits":
-        out = Bits(0)
-        for _ in range(count):
-            out = out.concat(self)
-        return out
+        """``count`` copies of ``self`` side by side (empty when
+        ``count <= 0``)."""
+        width = self.width
+        if count <= 0 or width == 0:
+            return Bits(0)
+        total = width * count
+        # Each mask times 0b0..01 0..01 (a 1 every ``width`` bits) lays
+        # ``count`` copies next to each other without carries.
+        spread = ((1 << total) - 1) // ((1 << width) - 1)
+        return Bits(
+            total,
+            self.ones * spread,
+            self.undefs * spread,
+            self.unknowns * spread,
+        )
 
     def extz(self, new_width: int) -> "Bits":
         """Zero-extend (or truncate from the MSB side) to ``new_width``."""

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..concurrency.parallel import check_job_budget, shutdown_active_pools
 from ..isa.assembler import AssemblerError
 from ..litmus.parser import LitmusSyntaxError
 from .cache import SCHEMA_VERSION, VerdictCache
@@ -159,6 +160,9 @@ class ServiceDaemon:
         cache_path: str = ":memory:",
         jobs: Optional[int] = None,
     ):
+        if jobs is not None:
+            # Refuse a bad budget now, not on every job that misses.
+            check_job_budget(jobs)
         self.cache = VerdictCache(cache_path)
         self.engine = EnvelopeEngine(cache=self.cache)
         self.worker_budget = jobs
@@ -229,8 +233,6 @@ class ServiceDaemon:
             self._server.stop()
             if self._scheduler is not None and self._scheduler.is_alive():
                 self._scheduler.join(timeout=10)
-            from ..concurrency.parallel import shutdown_active_pools
-
             shutdown_active_pools()
             self.cache.close()
         finally:

@@ -331,26 +331,29 @@ class EnvelopeEngine:
     ) -> BatchResult:
         """Answer many requests, fanning cache misses across workers.
 
-        Every request is resolved and looked up as in ``run_request``.
-        The misses run one per worker process within the ``jobs`` budget
-        (default: usable CPUs); each worker runs ``_explore`` on its
-        resolved request, in an engine with no cache, and the verdicts
-        it returns are stored here.  Verdict order matches request
-        order.
+        The ``jobs`` budget (default: usable CPUs) is checked first, so
+        a refused batch touches nothing.  Every request is then resolved
+        and looked up as in ``run_request``.  The misses run one per
+        worker process within the budget; each worker runs ``_explore``
+        on its resolved request, in an engine with no cache, and the
+        verdicts it returns are stored here.  Verdict order matches
+        request order.
         """
         from ..concurrency.parallel import (
+            check_job_budget,
             corpus_job_count,
             default_job_count,
             pool_map,
         )
 
         started = time.perf_counter()
+        budget = check_job_budget(
+            jobs if jobs is not None else default_job_count()
+        )
         resolved = [self.resolve(request) for request in requests]
         verdicts = [self._lookup(res) for res in resolved]
         misses = [i for i, verdict in enumerate(verdicts) if verdict is None]
-        workers = corpus_job_count(
-            jobs if jobs is not None else default_job_count(), len(misses)
-        )
+        workers = corpus_job_count(budget, len(misses))
         explored = pool_map(
             EnvelopeEngine(params=self.params)._explore,
             [resolved[i] for i in misses],

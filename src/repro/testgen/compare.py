@@ -5,6 +5,11 @@ state and compares every architected register, the next-instruction address,
 and all touched memory, *up to undef*: wherever the model's value has undef
 bits, any hardware (golden) value is acceptable -- exactly the comparison
 discipline of section 7 of the paper.
+
+Most tests end in identical, fully known states, so the final states are
+first checked as a whole (integer equality per register, one dict
+equality for memory); only a test that fails that check is compared
+location by location, which is what names every mismatch.
 """
 
 from __future__ import annotations
@@ -52,8 +57,7 @@ def _setup_model_machine(
     machine.set_reg("LR", setup.lr)
     machine.set_reg("CTR", setup.ctr)
     machine.cia = setup.cia
-    for addr, byte in setup.memory.items():
-        machine.memory.load_bytes(addr, bytes([byte]))
+    machine.memory.load_image(setup.memory)
     return machine
 
 
@@ -81,6 +85,61 @@ def _check(
         )
 
 
+#: The architected registers compared, in report order.
+_REGISTER_NAMES = (
+    *(f"GPR{i}" for i in range(32)), "CR", "XER", "LR", "CTR",
+)
+
+
+def _golden_registers(machine: GoldenMachine) -> tuple:
+    """The golden register values in ``_REGISTER_NAMES`` order."""
+    return (*machine.gpr, machine.cr, machine.xer, machine.lr, machine.ctr)
+
+
+def _same_state(
+    model_machine: SequentialMachine, golden_machine: GoldenMachine
+) -> bool:
+    """The whole-state check: every register's concrete bits equal to the
+    golden value as an integer, and memory holding exactly the golden
+    bytes, every bit known.
+
+    When it holds, the per-location comparison finds nothing (undef bits
+    hold 0 in ``ones`` and match any golden bit); when it does not, that
+    comparison decides.
+    """
+    values = model_machine.registers.values
+    for name, golden_value in zip(
+        _REGISTER_NAMES, _golden_registers(golden_machine)
+    ):
+        value = values.get(name)
+        if value is None or value.ones != golden_value:
+            return False
+    return model_machine.memory.holds_image(golden_machine.memory)
+
+
+def _compare_locations(
+    result: ComparisonResult,
+    model_machine: SequentialMachine,
+    golden_machine: GoldenMachine,
+) -> None:
+    """The per-location comparison up to undef, in report order."""
+    for name, golden_value in zip(
+        _REGISTER_NAMES, _golden_registers(golden_machine)
+    ):
+        _check(result, name, model_machine.reg(name), golden_value)
+
+    model_memory = model_machine.memory.snapshot()
+    golden_memory = golden_machine.memory
+    for addr in sorted(model_memory.keys() | golden_memory.keys()):
+        model_byte = model_memory.get(addr, _ZERO_BYTE)
+        golden_byte = golden_memory.get(addr, 0)
+        # Most bytes are fully known and equal: compare them as integers
+        # and leave undef bits and mismatches to the lifted comparison.
+        if model_byte.ones == golden_byte and model_byte.is_known:
+            continue
+        _check(result, f"mem[0x{addr:x}]", model_byte, golden_byte)
+
+
 def run_differential(model: IsaModel, test: SequentialTest) -> ComparisonResult:
     """Execute one test on both machines and compare final state."""
     result = ComparisonResult(test)
@@ -96,24 +155,8 @@ def run_differential(model: IsaModel, test: SequentialTest) -> ComparisonResult:
         result.mismatches.append(
             Mismatch("NIA", hex(model_nia), hex(golden_nia))
         )
-
-    for i in range(32):
-        _check(result, f"GPR{i}", model_machine.gpr(i), golden_machine.gpr[i])
-    _check(result, "CR", model_machine.reg("CR"), golden_machine.cr)
-    _check(result, "XER", model_machine.reg("XER"), golden_machine.xer)
-    _check(result, "LR", model_machine.reg("LR"), golden_machine.lr)
-    _check(result, "CTR", model_machine.reg("CTR"), golden_machine.ctr)
-
-    model_memory = model_machine.memory.snapshot()
-    golden_memory = golden_machine.memory
-    for addr in sorted(model_memory.keys() | golden_memory.keys()):
-        model_byte = model_memory.get(addr, _ZERO_BYTE)
-        golden_byte = golden_memory.get(addr, 0)
-        # Most bytes are fully known and equal: compare them as integers
-        # and leave undef bits and mismatches to the lifted comparison.
-        if model_byte.ones == golden_byte and model_byte.is_known:
-            continue
-        _check(result, f"mem[0x{addr:x}]", model_byte, golden_byte)
+    if result.mismatches or not _same_state(model_machine, golden_machine):
+        _compare_locations(result, model_machine, golden_machine)
     return result
 
 

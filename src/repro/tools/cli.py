@@ -26,7 +26,9 @@ answered in microseconds).  A test whose search the state budget or the
 context bound stops reports the verdict its partial outcomes prove
 ("StateLimit" for a universal claim) and why it did not complete.
 A search flag the engine would refuse (``EngineRequest`` checks every
-value), or a ``--jobs`` below 1, is a usage error (exit code 2).
+value), or a ``--jobs`` below 1, is a usage error (exit code 2).  So is
+an input file that cannot be read, or does not parse or assemble: the
+error is one line that names the path.
 
 The interactive mode shows Fig. 3-style system states: storage subsystem
 contents (writes seen, coherence, propagation lists, unacknowledged syncs)
@@ -38,14 +40,52 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from functools import partial
 from typing import List, Optional
 
+from ..concurrency.parallel import check_job_budget
 from ..concurrency.search import REDUCTIONS
+from ..isa.assembler import AssemblerError
 from ..litmus.library import corpus
-from ..litmus.parser import parse_litmus
+from ..litmus.parser import LitmusSyntaxError, parse_litmus
 from ..litmus.runner import build_system
 from ..service.engine import EngineRequest, EnvelopeEngine, check_option
+
+
+class InputError(Exception):
+    """An input file that cannot be read, parsed or assembled."""
+
+
+def _input_failures() -> tuple:
+    """What reading an input file, or parsing or assembling its contents,
+    fails with when the file itself is at fault."""
+    # Imported here, when something failed: the ELF package would add
+    # ~6 ms to every start of every other verb.
+    from ..elf.format import ElfError
+
+    return (
+        OSError, UnicodeDecodeError, LitmusSyntaxError, AssemblerError,
+        ElfError,
+    )
+
+
+@contextmanager
+def _blaming(path: str):
+    """Re-raise an ``_input_failures()`` exception from the ``with`` block
+    (reading ``path``, or parsing or assembling its contents) as an
+    ``InputError`` that names the path."""
+    try:
+        yield
+    except _input_failures() as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else None
+        raise InputError(f"{path}: {reason or exc}") from None
+
+
+def _read_input(path: str, binary: bool = False):
+    """The contents of input file ``path``; every verb reads through here."""
+    with _blaming(path), open(path, "rb" if binary else "r") as handle:
+        return handle.read()
 
 
 def _int_flag(check):
@@ -76,14 +116,9 @@ def _request_option(option: str):
     return _int_flag(partial(check_option, option))
 
 
-def _worker_count(value: int) -> None:
-    if value < 1:
-        raise ValueError(f"jobs must be >= 1, got {value}")
-
-
 def _add_jobs_arg(parser: argparse.ArgumentParser, default, help: str) -> None:
     parser.add_argument(
-        "--jobs", type=_int_flag(_worker_count), default=default, help=help
+        "--jobs", type=_int_flag(check_job_budget), default=default, help=help
     )
 
 
@@ -306,6 +341,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except InputError as exc:
+        print(f"ppcmem2: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "run":
         return _cmd_run(args.test, args)
     if args.command == "interactive":
@@ -341,19 +384,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _cmd_run(path: str, args) -> int:
     from ..service.client import format_verdict
 
-    with open(path) as handle:
-        source = handle.read()
+    source = _read_input(path)
     engine = _engine_from(args)
-    verdict = engine.run_request(_request_for(source, None, args))
+    with _blaming(path):
+        verdict = engine.run_request(_request_for(source, None, args))
     for line in format_verdict(dict(verdict.to_payload(), cached=verdict.cached)):
         print(line)
     return 0
 
 
 def _cmd_interactive(path: str) -> int:
-    with open(path) as handle:
-        test = parse_litmus(handle.read())
-    system, _addresses = build_system(test)
+    source = _read_input(path)
+    with _blaming(path):
+        system, _addresses = build_system(parse_litmus(source))
     step = 0
     while True:
         print("=" * 72)
@@ -412,9 +455,12 @@ def _cmd_litmus(paths, include_corpus: bool, jobs, max_states,
                 args=None) -> int:
     entries = []
     for path in paths:
-        with open(path) as handle:
-            source = handle.read()
-        test = parse_litmus(source)
+        source = _read_input(path)
+        with _blaming(path):
+            test = parse_litmus(source)
+            # Assemble here too, so a bad mnemonic names its file instead
+            # of failing the whole batch inside a worker.
+            build_system(test)
         entries.append((test.name, source))
     if include_corpus or not entries:
         entries.extend((e.name, e.source) for e in corpus())
@@ -566,8 +612,7 @@ def _cmd_client(args) -> int:
                     print(line)
             return 0
         if args.action == "run":
-            with open(args.test) as handle:
-                source = handle.read()
+            source = _read_input(args.test)
             verdict = client.query(source, options=_client_options(args))
             for line in format_verdict(verdict):
                 print(line)
@@ -575,9 +620,9 @@ def _cmd_client(args) -> int:
         if args.action == "submit":
             tests = []
             for path in args.tests:
-                with open(path) as handle:
-                    source = handle.read()
-                tests.append((parse_litmus(source).name, source))
+                source = _read_input(path)
+                with _blaming(path):
+                    tests.append((parse_litmus(source).name, source))
             gen = None
             if args.gen_seed is not None:
                 gen = {
@@ -623,9 +668,9 @@ def _cmd_elf(path: str, max_instructions: int) -> int:
     from ..elf.reader import read_elf
     from ..isa.sequential import SequentialMachine
 
-    with open(path, "rb") as handle:
-        image = read_elf(handle.read())
-    loaded = load_image(image)
+    blob = _read_input(path, binary=True)
+    with _blaming(path):
+        loaded = load_image(read_elf(blob))
     machine = SequentialMachine()
     load_into_machine(machine, loaded)
     final = machine.run(loaded.entry, max_instructions)

@@ -215,6 +215,85 @@ class TestBadSearchValues:
             EngineRequest(source=None)
 
 
+class TestBadInputPaths:
+    """An input file that cannot be read, parsed or assembled is a
+    one-line error naming the path (exit code 2), not a traceback."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        from repro.elf.writer import make_executable
+
+        files = {
+            "bad-mnemonic": by_name("MP").source.replace("stw", "frob", 1),
+            "syntax": "PPC broken\nno initial state here\n",
+        }
+        paths = {"missing": str(tmp_path / "missing.litmus"),
+                 "directory": str(tmp_path)}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.litmus"
+            path.write_text(text)
+            paths[name] = str(path)
+        binary = tmp_path / "binary.litmus"
+        binary.write_bytes(b"\xff\xfe\x00litmus")
+        paths["binary"] = str(binary)
+        # A valid ELF header whose program headers are cut off.
+        truncated = tmp_path / "truncated.elf"
+        truncated.write_bytes(
+            make_executable(0x10000, [0x60000000], 0x20000, b"", {})[:80]
+        )
+        paths["truncated"] = str(truncated)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "{missing}"], "No such file or directory"),
+            (["run", "{directory}"], "Is a directory"),
+            (["run", "{bad-mnemonic}"], "unknown mnemonic 'frob'"),
+            (["run", "{syntax}"], "missing initial-state block"),
+            (["run", "{binary}"], "can't decode byte 0xff"),
+            (["interactive", "{missing}"], "No such file or directory"),
+            (["interactive", "{bad-mnemonic}"], "unknown mnemonic 'frob'"),
+            (["litmus", "{missing}", "--jobs", "1"],
+             "No such file or directory"),
+            (["litmus", "{bad-mnemonic}", "--jobs", "2"],
+             "unknown mnemonic 'frob'"),
+            (["litmus", "{syntax}"], "missing initial-state block"),
+            (["client", "run", "{missing}"], "No such file or directory"),
+            (["client", "submit", "{directory}"], "Is a directory"),
+            (["client", "submit", "{syntax}"], "missing initial-state block"),
+            (["elf", "{missing}"], "No such file or directory"),
+            (["elf", "{syntax}"], "file shorter than an ELF header"),
+            (["elf", "{truncated}"],
+             "program header extends past end of file"),
+        ],
+        ids=[
+            "run-missing", "run-directory", "run-bad-mnemonic", "run-syntax",
+            "run-binary", "interactive-missing", "interactive-bad-mnemonic",
+            "litmus-missing", "litmus-bad-mnemonic", "litmus-syntax",
+            "client-run-missing", "client-submit-directory",
+            "client-submit-syntax", "elf-missing", "elf-not-elf",
+            "elf-truncated",
+        ],
+    )
+    def test_one_line_error_naming_the_path(self, argv, message, inputs,
+                                            capsys):
+        argv = [
+            inputs[arg[1:-1]] if arg.startswith("{") else arg for arg in argv
+        ]
+        (path,) = [arg for arg in argv if arg in inputs.values()]
+        # Nothing listens here: a client verb that got as far as the
+        # network would fail with a different message and exit code 1.
+        argv = (argv[:1] + ["--url", "http://127.0.0.1:9"] + argv[1:]
+                if argv[0] == "client" else argv)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"ppcmem2: error: {path}: ")
+        assert message in line
+
+
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__

@@ -12,6 +12,7 @@ from repro.elf.format import (
     PF_W,
     PF_X,
     Segment,
+    SHT_STRTAB,
     STT_FUNC,
     STT_OBJECT,
     Symbol,
@@ -108,6 +109,24 @@ class TestValidation:
     def test_truncated_rejected(self):
         with pytest.raises(ElfError):
             read_elf(b"\x7fELF")
+
+    def test_every_truncation_rejected(self):
+        blob = write_elf(_simple_image())
+        for length in range(len(blob)):
+            with pytest.raises(ElfError):
+                read_elf(blob[:length])
+
+    def test_unterminated_symbol_name_rejected(self):
+        blob = bytearray(write_elf(_simple_image()))
+        (shoff,) = struct.unpack_from(">Q", blob, 0x28)
+        (shnum,) = struct.unpack_from(">H", blob, 0x3C)
+        for header in range(shoff, shoff + 64 * shnum, 64):
+            (sh_type,) = struct.unpack_from(">I", blob, header + 4)
+            if sh_type == SHT_STRTAB:
+                offset, size = struct.unpack_from(">QQ", blob, header + 24)
+                blob[offset : offset + size] = b"A" * size
+        with pytest.raises(ElfError, match="symbol name"):
+            read_elf(bytes(blob))
 
 
 class TestLoader:

@@ -70,6 +70,17 @@ class TestDecodeTable:
         word = (14 << 26) | (1 << 21) | 7
         assert model.decode(word) is model.decode(word)
 
+    def test_fixed_mask_value_equals_a_recomputation(self, model):
+        for instruction_spec in model.table.all_specs():
+            mask = value = 0
+            for f in instruction_spec.layout:
+                if f.name is None:
+                    mask |= f.mask
+                    value |= f.value << f.shift
+            assert instruction_spec.fixed_mask_value() == (mask, value)
+            assert instruction_spec.matches(value)
+            assert not instruction_spec.matches(value ^ (mask & -mask))
+
 
 class TestAssembler:
     CASES = [

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.assembler import Assembler
 from repro.isa.model import default_model
-from repro.isa.sequential import SequentialError, SequentialMachine
+from repro.isa.sequential import Memory, SequentialError, SequentialMachine
 from repro.sail.values import Bits
 
 MODEL = default_model()
@@ -165,6 +165,32 @@ class TestMemory:
         assert machine.gpr(3).to_int() == 0x01020304
         assert machine.memory.read(0, 2).to_int() == 0x0304
         assert max(machine.memory.snapshot()) < 1 << 64
+
+    def test_load_image_equals_byte_at_a_time_loading(self):
+        image = {0x10000 + i: (7 * i) % 256 for i in range(300)}
+        image.update({(1 << 64) + 3: 0xAB, (1 << 64) - 1: 0xCD, 0x20: 0})
+        bulk, single = Memory(), Memory()
+        single.load_bytes(0x10005, b"\x99")  # overwritten by both
+        bulk.load_bytes(0x10005, b"\x99")
+        bulk.load_image(image)
+        for addr, byte in image.items():
+            single.load_bytes(addr, bytes([byte]))
+        assert bulk.snapshot() == single.snapshot()
+        assert bulk.read(3, 1).to_int() == 0xAB  # wrapped
+
+    def test_holds_image_is_exact_equality_with_known_bytes(self):
+        image = {0x100: 1, 0x101: 0xFF, 0x102: 0}
+        memory = Memory()
+        memory.load_image(image)
+        assert memory.holds_image(image)
+        # A byte written through ``write`` is an equal, unshared value.
+        memory.write(0x101, 1, Bits.from_int(0xFF, 8))
+        assert memory.holds_image(image)
+        assert not memory.holds_image({**image, 0x103: 0})  # image-only
+        assert not memory.holds_image({0x100: 1, 0x101: 0xFF})  # memory-only
+        assert not memory.holds_image({**image, 0x100: 2})
+        memory.write(0x100, 1, Bits.from_string("0000000u"))
+        assert not memory.holds_image(image)  # undef bits are not known
 
 
 class TestBranches:

@@ -1,5 +1,7 @@
 """Unit and property tests for the lifted bitvector domain."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,6 +123,26 @@ class TestExtension:
     def test_ext_truncates_from_msb(self):
         assert Bits.from_int(0x1F, 5).extz(4).to_int() == 0xF
         assert Bits.from_int(0x1F, 5).exts(4).to_int() == 0xF
+
+    def test_replicate_equals_repeated_concatenation(self):
+        rng = random.Random(23)
+        for width in range(10):
+            for _ in range(8):
+                value = Bits.from_string(
+                    "".join(rng.choice("01ux") for _ in range(width))
+                )
+                for count in range(-1, 21):
+                    expected = Bits(0)
+                    for _ in range(count):
+                        expected = expected.concat(value)
+                    assert value.replicate(count) == expected, (value, count)
+
+    @given(lifted_bits(max_width=8), st.integers(min_value=0, max_value=70))
+    def test_exts_copies_the_sign_bit(self, value, extra):
+        extended = value.exts(value.width + extra)
+        assert extended.slice(extra, extended.width - 1) == value
+        for index in range(extra):
+            assert extended.bit(index) == value.bit(0)
 
 
 class TestArithmetic:

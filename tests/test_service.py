@@ -389,6 +389,39 @@ class TestRunBatch:
         )
 
 
+class TestJobBudget:
+    """A worker budget below 1 is refused before anything is touched."""
+
+    def test_run_batch_refuses_before_resolving_or_looking_up(
+        self, monkeypatch
+    ):
+        cache = VerdictCache()
+        engine = EnvelopeEngine(cache=cache)
+        resolved = []
+        resolve = engine.resolve
+        monkeypatch.setattr(
+            engine, "resolve", lambda r: resolved.append(r) or resolve(r)
+        )
+        request = EngineRequest(source=by_name("MP").source)
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            engine.run_batch([request], jobs=0)
+        assert resolved == []
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_daemon_refuses_at_construction(self, jobs, monkeypatch):
+        from repro.service import daemon
+
+        opened = []
+        monkeypatch.setattr(
+            daemon, "VerdictCache", lambda *args: opened.append(args)
+        )
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            daemon.ServiceDaemon(port=0, jobs=jobs)
+        assert opened == []  # no cache opened, no socket bound
+
+
 class TestDaemonRoundTrip:
     @pytest.fixture()
     def service(self):
